@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .cyclotomy import check_condition
-from .errors import InconsistentWindowError, LinformError, ProblemFormatError
+from .errors import InconsistentWindowError, LinformError
 from .forms import diameter_report, image_repfn, modular_repfn
 from .periodic import check_t_complementing
 from .problems import ProblemFile, parse_problem
@@ -27,17 +28,17 @@ from .solver import (
     stabilize,
 )
 
-COMMANDS = (
-    "image",
-    "repfn",
-    "modrep",
-    "cyclotomy",
-    "check",
-    "extend",
-    "period",
-    "solve",
-    "stabilize",
-)
+# Command-specific flags; a command registers only the ones its handler reads (see COMMANDS).
+_FLAGS = {
+    "-m": {"type": int, "help": "modulus"},
+    "-t": {"type": int, "help": "target count (overrides the file)"},
+    "-N": {"type": int, "help": "window radius / radius cap"},
+    "--seed": {"help": "window seed as START:BITS, e.g. --seed=-1:101"},
+    "--from": {"dest": "lo", "type": int, "help": "extension lower end"},
+    "--to": {"dest": "hi", "type": int, "help": "extension upper end"},
+    "--max-nodes": {"type": int, "default": DEFAULT_NODE_BUDGET},
+    "--max-d": {"dest": "max_gap", "type": int, "default": DEFAULT_MAX_GAP},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,18 +47,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact representation-function tools for integer linear forms.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sub = subparsers.add_parser(name)
+    for name, (_, flags) in COMMANDS.items():
+        # with fewer flags per command a prefix such as --max would become
+        # unambiguous; exact spellings keep every command's flags a subset
+        sub = subparsers.add_parser(name, allow_abbrev=False)
         sub.add_argument("--input", required=True, help="problem file (JSON)")
-        sub.add_argument("-m", type=int, default=None, help="modulus")
-        sub.add_argument("-t", type=int, default=None, help="target count (overrides the file)")
-        sub.add_argument("-N", type=int, default=None, help="window radius / radius cap")
-        sub.add_argument("--seed", default=None, help="window seed as START:BITS, e.g. -1:101")
-        sub.add_argument("--from", dest="lo", type=int, default=None, help="extension lower end")
-        sub.add_argument("--to", dest="hi", type=int, default=None, help="extension upper end")
+        for flag in flags:
+            sub.add_argument(flag, **_FLAGS[flag])
         sub.add_argument("--format", choices=("json", "tsv"), default="json")
-        sub.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_BUDGET)
-        sub.add_argument("--max-d", dest="max_gap", type=int, default=DEFAULT_MAX_GAP)
     return parser
 
 
@@ -89,11 +86,6 @@ def _target_count(args, problem: ProblemFile) -> int:
     if t < 0:
         raise _UsageError("t must be a nonnegative integer")
     return t
-
-
-def _normalized(problem: ProblemFile):
-    form, reflected = problem.augmented_form().normalized()
-    return form, reflected
 
 
 def _cmd_image(args, problem):
@@ -138,7 +130,7 @@ def _cmd_cyclotomy(args, problem):
 
 
 def _cmd_check(args, problem):
-    form, reflected = _normalized(problem)
+    form, reflected = problem.augmented_form().normalized()
     if problem.periodic is None:
         raise _UsageError('this command needs field "B" in the problem file')
     t = _target_count(args, problem)
@@ -158,7 +150,7 @@ def _cmd_check(args, problem):
 
 
 def _cmd_extend(args, problem):
-    form, reflected = _normalized(problem)
+    form, reflected = problem.augmented_form().normalized()
     t = _target_count(args, problem)
     seed = _parse_seed(_need(args.seed, "--seed"))
     lo = _need(args.lo, "--from")
@@ -175,7 +167,7 @@ def _cmd_extend(args, problem):
 
 
 def _cmd_period(args, problem):
-    form, reflected = _normalized(problem)
+    form, reflected = problem.augmented_form().normalized()
     t = _target_count(args, problem)
     seed = _parse_seed(_need(args.seed, "--seed"))
     ctx = build_context(form, problem.set_tuple(), t)
@@ -202,7 +194,7 @@ def _cmd_period(args, problem):
 
 
 def _cmd_solve(args, problem):
-    form, reflected = _normalized(problem)
+    form, reflected = problem.augmented_form().normalized()
     radius = _need(args.N, "-N")
     if radius < 0:
         raise _UsageError("-N must be nonnegative")
@@ -214,8 +206,6 @@ def _cmd_solve(args, problem):
         target = TargetFunction.constant(_target_count(args, problem))
     if reflected:
         target = TargetFunction(target.default, {-n: c for n, c in target.overrides.items()})
-    from dataclasses import replace
-
     problem_window = replace(candidate_bound(form, problem.set_tuple(), radius), target=target)
     result = solve_window(problem_window, max_nodes=args.max_nodes)
     out = {
@@ -235,7 +225,7 @@ def _cmd_solve(args, problem):
 
 
 def _cmd_stabilize(args, problem):
-    form, reflected = _normalized(problem)
+    form, reflected = problem.augmented_form().normalized()
     t = _target_count(args, problem)
     max_n = args.N if args.N is not None else 8
     if max_n < 1:
@@ -256,16 +246,17 @@ def _cmd_stabilize(args, problem):
     return out, 1, f"no verified complement within N <= {max_n}"
 
 
-_HANDLERS = {
-    "image": _cmd_image,
-    "repfn": _cmd_repfn,
-    "modrep": _cmd_modrep,
-    "cyclotomy": _cmd_cyclotomy,
-    "check": _cmd_check,
-    "extend": _cmd_extend,
-    "period": _cmd_period,
-    "solve": _cmd_solve,
-    "stabilize": _cmd_stabilize,
+# command -> (handler, the _FLAGS it reads besides --input and --format)
+COMMANDS = {
+    "image": (_cmd_image, ()),
+    "repfn": (_cmd_repfn, ()),
+    "modrep": (_cmd_modrep, ("-m",)),
+    "cyclotomy": (_cmd_cyclotomy, ("-m", "-t")),
+    "check": (_cmd_check, ("-t",)),
+    "extend": (_cmd_extend, ("-t", "--seed", "--from", "--to")),
+    "period": (_cmd_period, ("-t", "--seed", "--max-d")),
+    "solve": (_cmd_solve, ("-t", "-N", "--max-nodes")),
+    "stabilize": (_cmd_stabilize, ("-t", "-N", "--max-nodes", "--max-d")),
 }
 
 
@@ -295,14 +286,9 @@ def dispatch(args) -> int:
         return 2
     try:
         problem = parse_problem(text)
-        report, code, note = _HANDLERS[args.command](args, problem)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ProblemFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (LinformError, ValueError) as exc:
+        handler, _ = COMMANDS[args.command]
+        report, code, note = handler(args, problem)
+    except (_UsageError, LinformError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(report, args.format)

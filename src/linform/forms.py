@@ -87,11 +87,9 @@ class SetTuple:
     def __post_init__(self) -> None:
         canonical = []
         for i, raw in enumerate(self.sets):
-            elements = sorted(raw)
+            elements = sorted(ensure_int64(x, f"element of A[{i}]") for x in raw)
             if not elements:
                 raise ValueError(f"set A[{i}] must be nonempty")
-            for x in elements:
-                ensure_int64(x, f"element of A[{i}]")
             for a, b in zip(elements, elements[1:]):
                 if a == b:
                     raise ValueError(f"duplicate element in A[{i}]")

@@ -30,17 +30,16 @@ class PeriodicSet:
     residues: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        ensure_int64(self.modulus, "modulus")
+        ensure_int64(self.modulus, "B.modulus")
         if self.modulus < 1:
-            raise ValueError("modulus must be a positive integer")
-        ordered = sorted(self.residues)
+            raise ValueError("B.modulus must be a positive integer")
+        ordered = sorted(ensure_int64(r, "residue of B") for r in self.residues)
         for r in ordered:
-            ensure_int64(r, "residue")
             if not 0 <= r < self.modulus:
-                raise ValueError(f"residue out of range: {r} not in [0, {self.modulus})")
+                raise ValueError(f"residue out of range in B: {r} not in [0, {self.modulus})")
         for a, b in zip(ordered, ordered[1:]):
             if a == b:
-                raise ValueError(f"duplicate residue {a}")
+                raise ValueError(f"duplicate residue in B: {a}")
         object.__setattr__(self, "residues", tuple(ordered))
 
     @cached_property

@@ -2,9 +2,13 @@
 
 A problem document is a single JSON object with fields u (coefficients),
 and A (one set per coefficient), plus optional v, B (periodic set), t, and
-f (target function). Unknown fields, wrong shapes, zero coefficients,
-duplicates, and out-of-range integers are all rejected with messages that
-name the offending position. Parsing and printing round-trip exactly.
+f (target function). This module checks the JSON shapes and the fields
+that no constructor sees; the values themselves are validated by building
+the domain objects (LinearForm, SetTuple, AugmentedForm, PeriodicSet,
+TargetFunction), whose errors become ProblemFormatError. Unknown fields,
+wrong shapes, zero coefficients, duplicates, and out-of-range integers are
+all rejected with messages that name the offending position. Parsing and
+printing round-trip exactly.
 """
 
 from __future__ import annotations
@@ -12,21 +16,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .checked import INT64_MAX, INT64_MIN
-from .errors import ProblemFormatError
+from .checked import ensure_int64
+from .errors import IntegerOverflowError, ProblemFormatError
 from .forms import AugmentedForm, LinearForm, SetTuple
 from .periodic import PeriodicSet
 from .solver import TargetFunction
 
 _ALLOWED_KEYS = {"u", "v", "A", "B", "t", "f"}
-
-
-def _as_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ProblemFormatError(f"{what} must be an integer")
-    if not INT64_MIN <= value <= INT64_MAX:
-        raise ProblemFormatError(f"{what} is outside the signed 64-bit range")
-    return value
 
 
 @dataclass(frozen=True)
@@ -58,6 +54,14 @@ def parse_problem(text: str) -> ProblemFile:
     return parse_problem_dict(document)
 
 
+def _build(constructor, *args):
+    """Run a validating constructor or check, reporting its failure as a format error."""
+    try:
+        return constructor(*args)
+    except (TypeError, ValueError, IntegerOverflowError) as exc:
+        raise ProblemFormatError(str(exc)) from None
+
+
 def parse_problem_dict(document) -> ProblemFile:
     if not isinstance(document, dict):
         raise ProblemFormatError("the problem document must be a JSON object")
@@ -68,56 +72,36 @@ def parse_problem_dict(document) -> ProblemFile:
     raw_u = document.get("u")
     if not isinstance(raw_u, list) or not raw_u:
         raise ProblemFormatError('"u" must be a nonempty array of integers')
-    u = []
-    for i, value in enumerate(raw_u):
-        coeff = _as_int(value, f"u[{i}]")
-        if coeff == 0:
-            raise ProblemFormatError(f"zero coefficient u[{i}]")
-        u.append(coeff)
+    form = _build(LinearForm, tuple(raw_u))
 
     raw_sets = document.get("A")
     if not isinstance(raw_sets, list) or not raw_sets:
         raise ProblemFormatError('"A" must be a nonempty array of integer arrays')
-    if len(raw_sets) != len(u):
+    if len(raw_sets) != len(raw_u):
         raise ProblemFormatError(
-            f'"A" holds {len(raw_sets)} sets but "u" has {len(u)} coefficients'
+            f'"A" holds {len(raw_sets)} sets but "u" has {len(raw_u)} coefficients'
         )
-    sets = []
     for i, raw in enumerate(raw_sets):
         if not isinstance(raw, list) or not raw:
             raise ProblemFormatError(f"A[{i}] must be a nonempty array of integers")
-        elements = [_as_int(x, f"element of A[{i}]") for x in raw]
-        if len(set(elements)) != len(elements):
-            raise ProblemFormatError(f"duplicate element in A[{i}]")
-        sets.append(tuple(sorted(elements)))
+    sets = _build(SetTuple, tuple(tuple(raw) for raw in raw_sets))
 
     v = None
     if "v" in document:
-        v = _as_int(document["v"], "v")
-        if v == 0:
-            raise ProblemFormatError("zero coefficient v")
+        v = _build(AugmentedForm, form, document["v"]).v
 
     periodic = None
     if "B" in document:
         raw_b = document["B"]
         if not isinstance(raw_b, dict) or set(raw_b) != {"modulus", "residues"}:
             raise ProblemFormatError('"B" must be an object with fields "modulus" and "residues"')
-        modulus = _as_int(raw_b["modulus"], "B.modulus")
-        if modulus < 1:
-            raise ProblemFormatError("B.modulus must be a positive integer")
         if not isinstance(raw_b["residues"], list):
             raise ProblemFormatError("B.residues must be an array of integers")
-        residues = [_as_int(r, "residue of B") for r in raw_b["residues"]]
-        for r in residues:
-            if not 0 <= r < modulus:
-                raise ProblemFormatError(f"residue out of range in B: {r}")
-        if len(set(residues)) != len(residues):
-            raise ProblemFormatError("duplicate residue in B")
-        periodic = PeriodicSet(modulus, tuple(sorted(residues)))
+        periodic = _build(PeriodicSet, raw_b["modulus"], tuple(raw_b["residues"]))
 
     t = None
     if "t" in document:
-        t = _as_int(document["t"], "t")
+        t = _build(ensure_int64, document["t"], "t")
         if t < 0:
             raise ProblemFormatError("t must be a nonnegative integer")
 
@@ -130,32 +114,33 @@ def parse_problem_dict(document) -> ProblemFile:
             )
         if "default" not in raw_f:
             raise ProblemFormatError('"f" needs a "default" value')
-        raw_default = raw_f["default"]
-        if raw_default is None or raw_default == "inf":
+        default = raw_f["default"]
+        if default == "inf":
             default = None
-        else:
-            default = _as_int(raw_default, "f.default")
-            if default < 0:
-                raise ProblemFormatError("f.default must be nonnegative")
+        elif default is not None:
+            default = _build(ensure_int64, default, "f.default")
         overrides: dict[int, int] = {}
         raw_overrides = raw_f.get("overrides", {})
         if not isinstance(raw_overrides, dict):
             raise ProblemFormatError("f.overrides must be an object")
         for key, value in raw_overrides.items():
+            # only the canonical spelling, so that distinct keys never collide
+            # and printing the parsed problem gives back the same document
             try:
                 n = int(key, 10)
             except (TypeError, ValueError):
-                raise ProblemFormatError(f'f.overrides key "{key}" must spell an integer') from None
-            _as_int(n, "f.overrides key")
-            count = _as_int(value, f"f.overrides[{key}]")
-            if count < 0:
-                raise ProblemFormatError(f"f.overrides[{key}] must be nonnegative")
-            overrides[n] = count
+                n = None
+            if n is None or str(n) != key:
+                raise ProblemFormatError(
+                    f'f.overrides key "{key}" must spell an integer in plain decimal'
+                )
+            n = _build(ensure_int64, n, "f.overrides key")
+            overrides[n] = _build(ensure_int64, value, f"f.overrides[{key}]")
         if default is None and not overrides:
             raise ProblemFormatError('f with default "inf" must override at least one value')
-        target = TargetFunction(default=default, overrides=overrides)
+        target = _build(TargetFunction, default, overrides)
 
-    return ProblemFile(u=tuple(u), sets=tuple(sets), v=v, periodic=periodic, t=t, target=target)
+    return ProblemFile(u=form.coeffs, sets=sets.sets, v=v, periodic=periodic, t=t, target=target)
 
 
 def problem_to_dict(problem: ProblemFile) -> dict:

@@ -51,7 +51,11 @@ class Window:
         object.__setattr__(self, "bits", tuple(self.bits))
         if not self.bits:
             raise ValueError("a window holds at least one bit")
-        if any(b not in (0, 1) for b in self.bits):
+        try:
+            valid = set(self.bits) <= {0, 1}
+        except TypeError:  # an unhashable value is no bit either
+            valid = False
+        if not valid:
             raise ValueError("window bits must be 0 or 1")
 
     @property
@@ -131,30 +135,52 @@ def _as_bit(rhs: int, count: int, index: int) -> int:
     raise InconsistentWindowError(index)
 
 
-def forward_step(ctx: RecursionContext, window: Window) -> int:
-    """Bit at window.end + 1 from the g_min identity; needs the last gap bits."""
+def _check_seed(ctx: RecursionContext, seed: Window, what: str, max_gap: int | None = None) -> None:
     if ctx.gap == 0:
         raise DegenerateGapError("gap is zero: the window recursion has no steps")
-    if len(window.bits) < ctx.gap:
-        raise ValueError(f"window holds {len(window.bits)} bits, recursion needs {ctx.gap}")
-    n = window.end + 1
-    rhs = ctx.t
-    for offset, mult in ctx.forward_offsets:
-        rhs -= mult * window.bit(n - offset)
-    return _as_bit(rhs, ctx.count_min, n)
+    if max_gap is not None and ctx.gap > max_gap:
+        raise GapTooLargeError(f"gap {ctx.gap} exceeds the configured limit {max_gap}")
+    if len(seed.bits) < ctx.gap:
+        raise ValueError(f"{what} holds {len(seed.bits)} bits, recursion needs {ctx.gap}")
+
+
+def _fill(ctx: RecursionContext, bits: list[int], base: int, lo: int, hi: int, forward: bool) -> None:
+    """Set bits[n - base] for lo <= n <= hi from one step identity.
+
+    The forward (g_min) identity reads bits below n and runs upward; the
+    backward (g_max) identity reads bits above n and runs downward. Either
+    way every bit read is already known, so errors fire at the first
+    index, in stepping order, where no bit fits.
+    """
+    if forward:
+        offsets, count, sign = ctx.forward_offsets, ctx.count_min, -1
+        order = range(lo - base, hi - base + 1)
+    else:
+        offsets, count, sign = ctx.backward_offsets, ctx.count_max, 1
+        order = range(hi - base, lo - base - 1, -1)
+    t = ctx.t
+    for i in order:
+        rhs = t
+        for offset, mult in offsets:
+            rhs -= mult * bits[i + sign * offset]
+        bits[i] = _as_bit(rhs, count, base + i)
+
+
+def forward_step(ctx: RecursionContext, window: Window) -> int:
+    """Bit at window.end + 1 from the g_min identity; needs the last gap bits."""
+    _check_seed(ctx, window, "window")
+    bits = [*window.bits, 0]
+    _fill(ctx, bits, window.start, window.end + 1, window.end + 1, forward=True)
+    return bits[-1]
 
 
 def backward_step(ctx: RecursionContext, window: Window) -> int:
     """Bit at window.start - 1 from the g_max identity; needs the first gap bits."""
-    if ctx.gap == 0:
-        raise DegenerateGapError("gap is zero: the window recursion has no steps")
-    if len(window.bits) < ctx.gap:
-        raise ValueError(f"window holds {len(window.bits)} bits, recursion needs {ctx.gap}")
+    _check_seed(ctx, window, "window")
     n = window.start - 1
-    rhs = ctx.t
-    for offset, mult in ctx.backward_offsets:
-        rhs -= mult * window.bit(n + offset)
-    return _as_bit(rhs, ctx.count_max, n)
+    bits = [0, *window.bits]
+    _fill(ctx, bits, n, n, n, forward=False)
+    return bits[0]
 
 
 def extend(ctx: RecursionContext, seed: Window, lo: int, hi: int) -> Window:
@@ -163,32 +189,13 @@ def extend(ctx: RecursionContext, seed: Window, lo: int, hi: int) -> Window:
     [lo, hi] must contain the seed range. Raises InconsistentWindowError at
     the first index where no bit satisfies the relevant identity.
     """
-    if ctx.gap == 0:
-        raise DegenerateGapError("gap is zero: the window recursion has no steps")
-    if len(seed.bits) < ctx.gap:
-        raise ValueError(f"seed holds {len(seed.bits)} bits, recursion needs {ctx.gap}")
+    _check_seed(ctx, seed, "seed")
     if lo > seed.start or hi < seed.end:
         raise ValueError("[lo, hi] must contain the seed range")
-    base = seed.start
-    bits = list(seed.bits)
-    for n in range(seed.end + 1, hi + 1):
-        rhs = ctx.t
-        for offset, mult in ctx.forward_offsets:
-            rhs -= mult * bits[n - offset - base]
-        bits.append(_as_bit(rhs, ctx.count_min, n))
-
-    below: list[int] = []  # below[i] is the bit of base - 1 - i
-
-    def bit_at(x: int) -> int:
-        return bits[x - base] if x >= base else below[base - 1 - x]
-
-    for n in range(base - 1, lo - 1, -1):
-        rhs = ctx.t
-        for offset, mult in ctx.backward_offsets:
-            rhs -= mult * bit_at(n + offset)
-        below.append(_as_bit(rhs, ctx.count_max, n))
-    full = list(reversed(below)) + bits
-    return Window(lo, tuple(full[: hi - lo + 1]))
+    bits = [0] * (seed.start - lo) + list(seed.bits) + [0] * (hi - seed.end)
+    _fill(ctx, bits, lo, seed.end + 1, hi, forward=True)
+    _fill(ctx, bits, lo, lo, seed.start - 1, forward=False)
+    return Window(lo, tuple(bits))
 
 
 def detect_period(
@@ -203,57 +210,38 @@ def detect_period(
     InconsistentWindowError at the offending index. The returned set is
     normalized and its minimal period divides p.
     """
+    _check_seed(ctx, seed, "seed", max_gap)
     gap = ctx.gap
-    if gap == 0:
-        raise DegenerateGapError("gap is zero: the window recursion has no steps")
-    if gap > max_gap:
-        raise GapTooLargeError(f"gap {gap} exceeds the configured limit {max_gap}")
-    if len(seed.bits) < gap:
-        raise ValueError(f"seed holds {len(seed.bits)} bits, recursion needs {gap}")
-
     base = seed.start
     bits = list(seed.bits)
-    forward = ctx.forward_offsets
-    t = ctx.t
-    count_min = ctx.count_min
 
     # Encode the state at j, the bits of [j, j + gap), as an integer with
-    # bit i of the integer holding the membership bit of j + i.
+    # bit i of the integer holding the membership bit of j + i. Bits are
+    # stepped one at a time: a bit past the repeat is never computed, so
+    # it can never raise.
     state = 0
     for i in range(gap):
         state |= bits[i] << i
-    seen = {state: base}
-    j = base
+    seen = {state: 0}
+    j = 0  # the state's start, relative to base
     while True:
-        needed = j + gap  # rolling to the state at j + 1 consumes this index
-        while needed - base >= len(bits):
-            n = base + len(bits)
-            rhs = t
-            for offset, mult in forward:
-                rhs -= mult * bits[n - offset - base]
-            bits.append(_as_bit(rhs, count_min, n))
-        state = (state >> 1) | (bits[needed - base] << (gap - 1))
+        needed = j + gap  # rolling to the state at j + 1 consumes this bit
+        if needed == len(bits):
+            bits.append(0)
+            _fill(ctx, bits, base, base + needed, base + needed, forward=True)
+        state = (state >> 1) | (bits[needed] << (gap - 1))
         j += 1
         if state in seen:
-            first, repeat = seen[state], j
             break
         seen[state] = j
-    period_len = repeat - first
+    period_len = j - seen[state]
 
-    below: list[int] = []
-
-    def bit_at(x: int) -> int:
-        return bits[x - base] if x >= base else below[base - 1 - x]
-
-    for n in range(base - 1, base - period_len - 1, -1):
-        rhs = t
-        for offset, mult in ctx.backward_offsets:
-            rhs -= mult * bit_at(n + offset)
-        below.append(_as_bit(rhs, ctx.count_max, n))
-
-    top = base + len(bits) - 1
-    for n in range(base - period_len, top - period_len + 1):
-        if bit_at(n) != bit_at(n + period_len):
+    base -= period_len
+    bits[:0] = [0] * period_len
+    _fill(ctx, bits, base, base, base + period_len - 1, forward=False)
+    for i, (bit, translate) in enumerate(zip(bits, bits[period_len:])):
+        if bit != translate:
+            n = base + i
             raise InconsistentWindowError(
                 n, f"eventually periodic but not purely periodic: bit({n}) != bit({n + period_len})"
             )

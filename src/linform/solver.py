@@ -49,10 +49,10 @@ class TargetFunction:
 
     def __post_init__(self) -> None:
         if self.default is not None and self.default < 0:
-            raise ValueError("default target must be a nonnegative integer")
+            raise ValueError("f.default must be nonnegative")
         for n, value in self.overrides.items():
             if value < 0:
-                raise ValueError(f"target override at {n} must be a nonnegative integer")
+                raise ValueError(f"f.overrides[{n}] must be nonnegative")
 
     @classmethod
     def constant(cls, t: int) -> TargetFunction:

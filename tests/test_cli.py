@@ -100,6 +100,22 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["status"] == "resource_limit"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["modrep", "--input", data("psi.json"), "-m", "4", "--seed", "0:1"],
+            ["image", "--input", data("psi.json"), "-N", "3"],
+            ["check", "--input", data("pair.json"), "--max-d", "3"],
+            ["period", "--input", data("extend.json"), "--seed", "0:1", "--max", "3"],
+        ],
+        ids=lambda v: str(v),
+    )
+    def test_flag_the_command_does_not_read_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_format_flag_never_changes_exit_code(self, capsys):
         for argv in (["check", "--input", data("gapset.json")],):
             json_code, _, _ = run(capsys, *argv)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -146,6 +147,17 @@ class TestRejectedDocuments:
     def test_override_key_must_spell_integer(self):
         with pytest.raises(ProblemFormatError, match='key "x" must spell an integer'):
             parse({"u": [1], "A": [[0]], "f": {"default": 1, "overrides": {"x": 1}}})
+
+    @pytest.mark.parametrize("key", ["1_0", " 3", "+3", "03", "-0"])
+    def test_override_key_must_be_canonical(self, key):
+        # int() reads each of these as a number, but printing it back would
+        # give a different key
+        with pytest.raises(ProblemFormatError, match=re.escape(f'key "{key}" must spell an integer')):
+            parse({"u": [1], "A": [[0]], "f": {"default": 1, "overrides": {key: 1}}})
+
+    def test_colliding_override_keys_rejected(self):
+        with pytest.raises(ProblemFormatError, match='key "03"'):
+            parse({"u": [1], "A": [[0]], "f": {"default": 1, "overrides": {"3": 1, "03": 2}}})
 
     def test_negative_override(self):
         with pytest.raises(ProblemFormatError, match=r"f.overrides\[0\] must be nonnegative"):

@@ -44,6 +44,10 @@ class TestWindow:
         with pytest.raises(ValueError):
             Window(0, (2,))
 
+    def test_rejects_unhashable_values(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            Window(0, (1, [1]))
+
     def test_bit_out_of_range(self):
         with pytest.raises(ValueError, match="outside window"):
             Window(0, (1,)).bit(5)
