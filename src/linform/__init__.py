@@ -37,7 +37,6 @@ from .errors import (
 )
 from .forms import (
     AugmentedForm,
-    DiameterReport,
     LinearForm,
     RepFunction,
     SetTuple,
@@ -83,7 +82,6 @@ __all__ = [
     "DEFAULT_MAX_GAP",
     "DEFAULT_NODE_BUDGET",
     "DegenerateGapError",
-    "DiameterReport",
     "GapTooLargeError",
     "INT64_MAX",
     "INT64_MIN",

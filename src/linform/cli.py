@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .cyclotomy import check_condition
 from .errors import InconsistentWindowError, LinformError
-from .forms import diameter_report, image_repfn, modular_repfn
+from .forms import image_repfn, modular_repfn
 from .periodic import check_t_complementing
 from .problems import ProblemFile, parse_problem
 from .recursion import DEFAULT_MAX_GAP, Window, build_context, detect_period, extend
@@ -89,17 +89,16 @@ def _target_count(args, problem: ProblemFile) -> int:
 
 
 def _cmd_image(args, problem):
-    report = diameter_report(problem.linear_form(), problem.set_tuple())
-    image = sorted(image_repfn(problem.linear_form(), problem.set_tuple()).counts)
+    rep = image_repfn(problem.linear_form(), problem.set_tuple())
     out = {
-        "g_min": report.g_min,
-        "g_max": report.g_max,
-        "diameter": report.diameter,
-        "count_min": report.count_min,
-        "count_max": report.count_max,
-        "image": image,
+        "g_min": rep.g_min,
+        "g_max": rep.g_max,
+        "diameter": rep.diameter,
+        "count_min": rep.count_min,
+        "count_max": rep.count_max,
+        "image": [n for n, _ in rep.support()],
     }
-    return out, 0, f"image of {len(image)} values, diameter {report.diameter}"
+    return out, 0, f"image of {len(rep.counts)} values, diameter {rep.diameter}"
 
 
 def _cmd_repfn(args, problem):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .checked import checked_add, checked_mul, checked_neg, checked_sub, ensure_int64
@@ -110,7 +111,11 @@ class SetTuple:
 
 @dataclass(frozen=True)
 class RepFunction:
-    """Finitely supported count function: value -> number of representing tuples."""
+    """Finitely supported count function: value -> number of representing tuples.
+
+    The extremes g_min and g_max, their counts, the diameter and the sorted
+    support are computed on first use and kept.
+    """
 
     counts: dict[int, int]
 
@@ -122,28 +127,42 @@ class RepFunction:
     def __getitem__(self, n: int) -> int:
         return self.counts.get(n, 0)
 
+    @cached_property
+    def _sorted(self) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted(self.counts.items()))
+
     def support(self) -> list[tuple[int, int]]:
-        return sorted(self.counts.items())
+        return list(self._sorted)
 
     def total(self) -> int:
         return sum(self.counts.values())
 
+    @cached_property
+    def g_min(self) -> int:
+        return min(self.counts)
 
-@dataclass(frozen=True)
-class DiameterReport:
-    """Extremes of a finite image and how many tuples achieve them."""
+    @cached_property
+    def g_max(self) -> int:
+        return max(self.counts)
 
-    g_min: int
-    g_max: int
-    diameter: int
-    count_min: int
-    count_max: int
+    @cached_property
+    def diameter(self) -> int:
+        return checked_sub(self.g_max, self.g_min)
 
-    def __post_init__(self) -> None:
-        if self.diameter != self.g_max - self.g_min or self.diameter < 0:
-            raise ValueError("diameter must equal g_max - g_min and be nonnegative")
-        if self.count_min < 1 or self.count_max < 1:
-            raise ValueError("extreme values are achieved by at least one tuple")
+    @cached_property
+    def count_min(self) -> int:
+        return self.counts[self.g_min]
+
+    @cached_property
+    def count_max(self) -> int:
+        return self.counts[self.g_max]
+
+    def fold(self, m: int) -> list[int]:
+        """Total count per residue class mod m (m >= 1): entry r is for n = r mod m."""
+        folded = [0] * m
+        for value, count in self.counts.items():
+            folded[value % m] += count
+        return folded
 
 
 def eval_form(form: LinearForm, values: Sequence[int]) -> int:
@@ -167,27 +186,16 @@ def image_repfn(form: LinearForm, sets: SetTuple) -> RepFunction:
     return RepFunction(counts)
 
 
-def diameter_report(form: LinearForm, sets: SetTuple) -> DiameterReport:
-    rep = image_repfn(form, sets)
-    g_min = min(rep.counts)
-    g_max = max(rep.counts)
-    return DiameterReport(
-        g_min=g_min,
-        g_max=g_max,
-        diameter=checked_sub(g_max, g_min),
-        count_min=rep.counts[g_min],
-        count_max=rep.counts[g_max],
-    )
+def diameter_report(form: LinearForm, sets: SetTuple) -> RepFunction:
+    """The image, read for its extremes: g_min, g_max, diameter, count_min, count_max."""
+    return image_repfn(form, sets)
 
 
 def modular_repfn(form: LinearForm, sets: SetTuple, m: int) -> list[int]:
     """Fold the representation function into residue classes mod m."""
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError("modulus m must be a positive integer")
-    folded = [0] * m
-    for value, count in image_repfn(form, sets).counts.items():
-        folded[value % m] += count
-    return folded
+    return image_repfn(form, sets).fold(m)
 
 
 def _augmented_count(

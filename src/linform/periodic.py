@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .checked import checked_mul, ensure_int64
 from .forms import AugmentedForm, SetTuple, _augmented_count, image_repfn
@@ -91,15 +91,6 @@ class ComplementCertificate:
             raise ValueError("verdict must be true exactly when no violation was found")
 
 
-def _outward_from_zero() -> Iterator[int]:
-    yield 0
-    k = 1
-    while True:
-        yield k
-        yield -k
-        k += 1
-
-
 def check_t_complementing(
     form: AugmentedForm, sets: SetTuple, periodic: PeriodicSet, t: int
 ) -> ComplementCertificate:
@@ -110,15 +101,11 @@ def check_t_complementing(
         raise ValueError("t must be a nonnegative integer")
     period = checked_mul(form.v, periodic.modulus)
     support = image_repfn(form.base, sets).support()
-    seen: set[int] = set()
-    for n in _outward_from_zero():
-        residue = n % period
-        if residue in seen:
-            continue
-        seen.add(residue)
+    # n = 0, 1, -1, 2, -2, ...: the first `period` of them fill an interval,
+    # so they meet every residue class once
+    for k in range(period):
+        n = (k + 1) // 2 if k % 2 else -(k // 2)
         observed = _augmented_count(support, form.v, periodic.member, n)
         if observed != t:
             return ComplementCertificate(False, period, Violation(n, observed, t))
-        if len(seen) == period:
-            return ComplementCertificate(True, period, None)
-    raise AssertionError("unreachable")
+    return ComplementCertificate(True, period, None)

@@ -5,10 +5,11 @@ and A (one set per coefficient), plus optional v, B (periodic set), t, and
 f (target function). This module checks the JSON shapes and the fields
 that no constructor sees; the values themselves are validated by building
 the domain objects (LinearForm, SetTuple, AugmentedForm, PeriodicSet,
-TargetFunction), whose errors become ProblemFormatError. Unknown fields,
-wrong shapes, zero coefficients, duplicates, and out-of-range integers are
-all rejected with messages that name the offending position. Parsing and
-printing round-trip exactly.
+TargetFunction), whose errors become ProblemFormatError; the parsed
+problem keeps them. Unknown fields, repeated keys, wrong shapes, zero
+coefficients, duplicates, and out-of-range integers are all rejected with
+messages that name the offending position. Parsing and printing
+round-trip exactly.
 """
 
 from __future__ import annotations
@@ -27,28 +28,47 @@ _ALLOWED_KEYS = {"u", "v", "A", "B", "t", "f"}
 
 @dataclass(frozen=True)
 class ProblemFile:
-    u: tuple[int, ...]
-    sets: tuple[tuple[int, ...], ...]
+    """A parsed problem, holding the domain objects that validated it."""
+
+    form: LinearForm
+    domain: SetTuple
     v: int | None = None
     periodic: PeriodicSet | None = None
     t: int | None = None
     target: TargetFunction | None = None
 
+    @property
+    def u(self) -> tuple[int, ...]:
+        return self.form.coeffs
+
+    @property
+    def sets(self) -> tuple[tuple[int, ...], ...]:
+        return self.domain.sets
+
     def linear_form(self) -> LinearForm:
-        return LinearForm(self.u)
+        return self.form
 
     def set_tuple(self) -> SetTuple:
-        return SetTuple(self.sets)
+        return self.domain
 
     def augmented_form(self) -> AugmentedForm:
         if self.v is None:
             raise ProblemFormatError('this command needs field "v" in the problem file')
-        return AugmentedForm(self.linear_form(), self.v)
+        return AugmentedForm(self.form, self.v)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    document = {}
+    for key, value in pairs:
+        if key in document:
+            raise ProblemFormatError(f'duplicate key "{key}"')
+        document[key] = value
+    return document
 
 
 def parse_problem(text: str) -> ProblemFile:
     try:
-        document = json.loads(text)
+        document = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"malformed JSON: {exc}") from exc
     return parse_problem_dict(document)
@@ -140,7 +160,7 @@ def parse_problem_dict(document) -> ProblemFile:
             raise ProblemFormatError('f with default "inf" must override at least one value')
         target = _build(TargetFunction, default, overrides)
 
-    return ProblemFile(u=form.coeffs, sets=sets.sets, v=v, periodic=periodic, t=t, target=target)
+    return ProblemFile(form, sets, v=v, periodic=periodic, t=t, target=target)
 
 
 def problem_to_dict(problem: ProblemFile) -> dict:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateGapError, GapTooLargeError, InconsistentWindowError
-from .forms import AugmentedForm, SetTuple, image_repfn
+from .forms import AugmentedForm, RepFunction, SetTuple, image_repfn
 from .periodic import PeriodicSet
 
 DEFAULT_MAX_GAP = 24
@@ -75,13 +75,18 @@ class RecursionContext:
     form: AugmentedForm
     sets: SetTuple
     t: int
-    g_min: int
-    g_max: int
-    count_min: int
-    count_max: int
+    image: RepFunction
     gap: int
     forward_offsets: tuple[tuple[int, int], ...]
     backward_offsets: tuple[tuple[int, int], ...]
+
+    @property
+    def count_min(self) -> int:
+        return self.image.count_min
+
+    @property
+    def count_max(self) -> int:
+        return self.image.count_max
 
 
 @dataclass(frozen=True)
@@ -99,9 +104,7 @@ def build_context(form: AugmentedForm, sets: SetTuple, t: int) -> RecursionConte
     if t < 0:
         raise ValueError("t must be a nonnegative integer")
     rep = image_repfn(form.base, sets)
-    g_min = min(rep.counts)
-    g_max = max(rep.counts)
-    v = form.v
+    g_min, g_max, v = rep.g_min, rep.g_max, form.v
     gap = (g_max - g_min) // v
     forward: dict[int, int] = {}
     backward: dict[int, int] = {}
@@ -116,10 +119,7 @@ def build_context(form: AugmentedForm, sets: SetTuple, t: int) -> RecursionConte
         form=form,
         sets=sets,
         t=t,
-        g_min=g_min,
-        g_max=g_max,
-        count_min=rep.counts[g_min],
-        count_max=rep.counts[g_max],
+        image=rep,
         gap=gap,
         forward_offsets=tuple(sorted(forward.items())),
         backward_offsets=tuple(sorted(backward.items())),

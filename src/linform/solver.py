@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 from .checked import checked_add, checked_mul, checked_sub
 from .errors import InconsistentWindowError
-from .forms import AugmentedForm, SetTuple, augmented_repfn_finite, diameter_report, image_repfn, modular_repfn
+from .forms import AugmentedForm, RepFunction, SetTuple, _augmented_count, image_repfn
 from .periodic import PeriodicSet, check_t_complementing
 from .recursion import DEFAULT_MAX_GAP, PeriodReport, Window, build_context, detect_period
 
@@ -64,13 +64,30 @@ class TargetFunction:
 
 @dataclass(frozen=True)
 class WindowProblem:
+    """A window problem at radius N; the candidate interval follows from the image, N and v."""
+
     form: AugmentedForm
     sets: SetTuple
     target: TargetFunction | None
     N: int
-    g_star: int
-    candidate_lo: int
-    candidate_hi: int
+    image: RepFunction
+
+    def __post_init__(self) -> None:
+        # the candidate interval comes from the image, whose diameter must fit
+        # signed 64-bit: reading it raises IntegerOverflowError otherwise
+        self.image.diameter
+
+    @property
+    def g_star(self) -> int:
+        return max(abs(self.image.g_min), abs(self.image.g_max))
+
+    @property
+    def candidate_hi(self) -> int:
+        return checked_add(self.N, self.g_star) // self.form.v
+
+    @property
+    def candidate_lo(self) -> int:
+        return -self.candidate_hi
 
 
 class SolveStatus(enum.Enum):
@@ -112,22 +129,7 @@ def candidate_bound(form: AugmentedForm, sets: SetTuple, N: int) -> WindowProble
         raise ValueError("window problems require a normalized form (v >= 1)")
     if N < 0:
         raise ValueError("window radius N must be nonnegative")
-    report = diameter_report(form.base, sets)
-    g_star = max(abs(report.g_min), abs(report.g_max))
-    radius = checked_add(N, g_star) // form.v
-    return WindowProblem(
-        form=form,
-        sets=sets,
-        target=None,
-        N=N,
-        g_star=g_star,
-        candidate_lo=-radius,
-        candidate_hi=radius,
-    )
-
-
-class _BudgetExhausted(Exception):
-    pass
+    return WindowProblem(form, sets, None, N, image_repfn(form.base, sets))
 
 
 def solve_window(problem: WindowProblem, max_nodes: int = DEFAULT_NODE_BUDGET) -> SolveResult:
@@ -136,10 +138,9 @@ def solve_window(problem: WindowProblem, max_nodes: int = DEFAULT_NODE_BUDGET) -
         raise ValueError("the problem has no target function; attach one first")
     if max_nodes < 1:
         raise ValueError("node budget must be positive")
-    form, sets, target, N = problem.form, problem.sets, problem.target, problem.N
-    v = form.v
-    support = image_repfn(form.base, sets).support()
-    g_min, g_max = support[0][0], support[-1][0]
+    form, target, N, image = problem.form, problem.target, problem.N, problem.image
+    v, g_min, g_max = form.v, image.g_min, image.g_max
+    support = image.support()
 
     # Only candidates with a representation landing inside the window matter;
     # the rest of the candidate interval is canonically excluded.
@@ -148,7 +149,6 @@ def solve_window(problem: WindowProblem, max_nodes: int = DEFAULT_NODE_BUDGET) -
 
     required = [target.at(n) for n in range(-N, N + 1)]
     counts = [0] * (2 * N + 1)
-    nodes = 0
 
     def advance(frontier: int, limit: int) -> int | None:
         # Verify every newly finalized position; None signals a violation.
@@ -160,78 +160,67 @@ def solve_window(problem: WindowProblem, max_nodes: int = DEFAULT_NODE_BUDGET) -
                 return None
         return frontier
 
-    if contrib_lo > contrib_hi:
-        frontier = advance(-N - 1, N)
-        if frontier is None:
-            return SolveResult(SolveStatus.UNSAT, None, 0)
-        return SolveResult(SolveStatus.SOLVED, (), 0)
-
     candidates = list(range(contrib_lo, contrib_hi + 1))
-    contributions: list[list[tuple[int, int]]] = []
+    last = len(candidates)
+    contributions: list[list[tuple[int, int]]] = []  # (position + N, multiplicity) per candidate
     for b in candidates:
-        shifted = []
         vb = checked_mul(v, b)
-        for value, mult in support:
-            n = checked_add(value, vb)
-            if -N <= n <= N:
-                shifted.append((n + N, mult))
-        contributions.append(shifted)
+        shifted = ((checked_add(value, vb), mult) for value, mult in support)
+        contributions.append([(n + N, mult) for n, mult in shifted if -N <= n <= N])
+    # positions up to thresholds[i] are final once candidate i is decided
+    thresholds = [g_min + v * b + v - 1 for b in candidates[:-1]] + [N]
 
-    chosen: list[int] = []
-    witness: list[int] | None = None
-
-    def dfs(i: int, frontier: int) -> bool:
-        nonlocal nodes, witness
-        if i == len(candidates):
-            final = advance(frontier, N)
-            if final is None:
-                return False
-            witness = list(chosen)
-            return True
-        threshold = g_min + v * candidates[i] + v - 1 if i + 1 < len(candidates) else N
-
-        nodes += 1
-        if nodes > max_nodes:
-            raise _BudgetExhausted
-        placed = 0
-        feasible = True
-        for index, mult in contributions[i]:
-            counts[index] += mult
-            placed += 1
-            need = required[index]
-            if need is not None and counts[index] > need:
-                feasible = False
+    # Depth-first with an explicit stack of branches still to take, so the
+    # depth is not bounded by Python's recursion limit. Popping the include
+    # branch of candidate i first pushes its exclude branch, which thus runs
+    # after the whole include subtree, in the order of a recursive search.
+    chosen: list[int] = []  # indexes of the included candidates, innermost last
+    branches = [(0, -N - 1, True)]  # (candidate index, frontier, include?)
+    nodes = 0
+    while branches:
+        i, frontier, include = branches.pop()
+        if i == last:
+            if advance(frontier, N) is not None:
                 break
-        if feasible:
-            after = advance(frontier, threshold)
-            if after is not None:
-                chosen.append(candidates[i])
-                if dfs(i + 1, after):
-                    return True
-                chosen.pop()
-        for index, mult in contributions[i][:placed]:
-            counts[index] -= mult
-
+            continue
         nodes += 1
         if nodes > max_nodes:
-            raise _BudgetExhausted
-        after = advance(frontier, threshold)
-        if after is not None and dfs(i + 1, after):
-            return True
-        return False
-
-    try:
-        solved = dfs(0, -N - 1)
-    except _BudgetExhausted:
-        return SolveResult(SolveStatus.RESOURCE_LIMIT, None, nodes)
-    if not solved:
+            return SolveResult(SolveStatus.RESOURCE_LIMIT, None, nodes)
+        if include:
+            branches.append((i, frontier, False))
+            placed = 0
+            for index, mult in contributions[i]:
+                counts[index] += mult
+                placed += 1
+                need = required[index]
+                if need is not None and counts[index] > need:
+                    break
+            else:
+                after = advance(frontier, thresholds[i])
+                if after is not None:
+                    chosen.append(i)
+                    branches.append((i + 1, after, True))
+                    continue
+            for index, mult in contributions[i][:placed]:
+                counts[index] -= mult
+        else:
+            while chosen and chosen[-1] >= i:  # leave the include subtrees below i
+                for index, mult in contributions[chosen.pop()]:
+                    counts[index] -= mult
+            after = advance(frontier, thresholds[i])
+            if after is not None:
+                branches.append((i + 1, after, True))
+    else:
         return SolveResult(SolveStatus.UNSAT, None, nodes)
-    assert witness is not None
+
+    # Re-verify the witness by counting each position afresh, apart from the search.
+    witness = tuple(candidates[i] for i in chosen)
+    member = frozenset(witness).__contains__
     for n in range(-N, N + 1):
         need = target.at(n)
-        if need is not None and augmented_repfn_finite(form, sets, witness, n) != need:
+        if need is not None and _augmented_count(support, v, member, n) != need:
             raise AssertionError(f"witness failed re-verification at {n}")
-    return SolveResult(SolveStatus.SOLVED, tuple(witness), nodes)
+    return SolveResult(SolveStatus.SOLVED, witness, nodes)
 
 
 def recenter(form: AugmentedForm, members: tuple[int, ...], c: int) -> tuple[int, ...]:
@@ -246,11 +235,11 @@ def recenter(form: AugmentedForm, members: tuple[int, ...], c: int) -> tuple[int
     return tuple(sorted(checked_sub(b, c) for b in members))
 
 
-def _degenerate_complement(form: AugmentedForm, sets: SetTuple, t: int) -> PeriodicSet | None:
+def _degenerate_complement(image: RepFunction, v: int, t: int) -> PeriodicSet | None:
     # Gap zero forces a constant membership bit: the only infinite candidate
     # is B = Z, which works exactly when every residue class mod v carries
-    # t representations.
-    if t >= 1 and all(c == t for c in modular_repfn(form.base, sets, form.v)):
+    # t representations, t * v in all (checked first: it needs no v slots).
+    if t >= 1 and image.total() == t * v and all(c == t for c in image.fold(v)):
         return PeriodicSet(1, (0,))
     return None
 
@@ -268,7 +257,7 @@ def stabilize(
         raise ValueError("max_n must be at least 1")
     ctx = build_context(form, sets, t)
     if ctx.gap == 0:
-        candidate = _degenerate_complement(form, sets, t)
+        candidate = _degenerate_complement(ctx.image, form.v, t)
         if candidate is not None:
             cert = check_t_complementing(form, sets, candidate, t)
             if cert.verdict:
@@ -281,11 +270,9 @@ def stabilize(
         return StabilizeResult(None, None, (attempt,))
 
     attempts: list[StabilizeAttempt] = []
+    skeleton = WindowProblem(form, sets, TargetFunction.constant(t), 0, ctx.image)
     for radius in range(1, max_n + 1):
-        problem = replace(
-            candidate_bound(form, sets, radius), target=TargetFunction.constant(t)
-        )
-        result = solve_window(problem, max_nodes=max_nodes)
+        result = solve_window(replace(skeleton, N=radius), max_nodes=max_nodes)
         if result.status is SolveStatus.UNSAT:
             # Window constraints only grow with N, so no larger radius can succeed.
             attempts.append(StabilizeAttempt(radius, "unsat", "no finite witness; larger N cannot help"))

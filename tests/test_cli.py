@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from linform import forms
 from linform.cli import main
 
 HERE = Path(__file__).parent
@@ -79,6 +80,8 @@ EXIT_TABLE = [
     (2, ["check", "--input", data("extend.json")]),
     (2, ["check", "--input", data("psi.json"), "-t", "1"]),
     (2, ["stabilize", "--input", data("extend.json"), "-N", "0"]),
+    # deep searches: one level of the DFS per candidate
+    (0, ["solve", "--input", data("pair.json"), "-t", "1", "-N", "700"]),
 ]
 
 
@@ -121,6 +124,39 @@ class TestExitCodes:
             json_code, _, _ = run(capsys, *argv)
             tsv_code, _, _ = run(capsys, *argv, "--format", "tsv")
             assert json_code == tsv_code == 1
+
+
+class TestImageBuiltOnce:
+    # Every layer reads the image of (form, sets) from one object built per
+    # command; only a verification of a candidate complement builds its own.
+    @pytest.mark.parametrize(
+        "most,argv",
+        [
+            (1, ["image", "--input", data("psi.json")]),
+            (1, ["solve", "--input", data("pair.json"), "-t", "1", "-N", "50"]),
+            (2, ["stabilize", "--input", data("pair.json"), "-N", "6"]),
+            (1, ["check", "--input", data("pair.json")]),
+        ],
+        ids=lambda v: str(v),
+    )
+    def test_image_calls_per_command(self, capsys, monkeypatch, most, argv):
+        original = forms.image_repfn
+        calls = []
+
+        def counted(form, sets):
+            calls.append(form)
+            return original(form, sets)
+
+        # patch every linform module holding the function, as imported names
+        # are bound at import time
+        for name, module in list(sys.modules.items()):
+            if name == "linform" or name.startswith("linform."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert 1 <= len(calls) <= most
 
 
 class TestReports:

@@ -159,6 +159,21 @@ class TestRejectedDocuments:
         with pytest.raises(ProblemFormatError, match='key "03"'):
             parse({"u": [1], "A": [[0]], "f": {"default": 1, "overrides": {"3": 1, "03": 2}}})
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ('{"u": [1], "A": [[0, 1]], "t": 1, "t": 2}', "t"),
+            ('{"u": [1], "A": [[0]], "B": {"modulus": 2, "residues": [0], "modulus": 4}}', "modulus"),
+            ('{"u": [1], "A": [[0]], "f": {"default": 1, "default": 2}}', "default"),
+            ('{"u": [1], "A": [[0]], "f": {"default": 1, "overrides": {"3": 1, "3": 2}}}', "3"),
+        ],
+        ids=["top level", "B", "f", "f.overrides"],
+    )
+    def test_duplicate_key_rejected(self, text, key):
+        # json.loads would keep the last value, so the file would say two things
+        with pytest.raises(ProblemFormatError, match=re.escape(f'duplicate key "{key}"')):
+            parse_problem(text)
+
     def test_negative_override(self):
         with pytest.raises(ProblemFormatError, match=r"f.overrides\[0\] must be nonnegative"):
             parse({"u": [1], "A": [[0]], "f": {"default": 1, "overrides": {"0": -1}}})
