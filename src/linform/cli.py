@@ -290,6 +290,10 @@ def dispatch(args) -> int:
     except (_UsageError, LinformError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # last resort: no input may end in a traceback; repr keeps it to one line
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        return 2
     _emit(report, args.format)
     if note:
         print(note, file=sys.stderr)

@@ -5,11 +5,13 @@ coordinatewise to a tuple of finite integer sets, has a finite image. The
 representation function records how many coordinate tuples land on each
 value; everything here is exact enumeration over the Cartesian product.
 
-The augmented variants append a term v*y whose variable ranges over a
-further set of integers, periodic or finite, and count representations
-n = u1*a1 + ... + uh*ah + v*b. They require v >= 1; a form with v < 0 is
-normalized by negating every coefficient, which reflects the count,
-R(n) -> R(-n), and callers surface that reflection rather than hide it.
+The augmented variants append a term v*y, y ranging over a finite or a
+periodic set B, and count representations n = u1*a1 + ... + uh*ah + v*b
+from the image: the sum of image[n - v*b] over a finite B, one fold of
+the image shifted by v*B modulo v*m for a B of modulus m. A periodic B
+needs v >= 1; a form with v < 0 is normalized by negating every
+coefficient, which reflects the count, R(n) -> R(-n), and callers surface
+that reflection rather than hide it.
 
 All arithmetic is checked signed 64-bit: a computation that leaves the
 range raises IntegerOverflowError, never wraps.
@@ -21,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .checked import checked_add, checked_mul, checked_neg, checked_sub, ensure_int64
 
@@ -157,11 +159,16 @@ class RepFunction:
     def count_max(self) -> int:
         return self.counts[self.g_max]
 
-    def fold(self, m: int) -> list[int]:
-        """Total count per residue class mod m (m >= 1): entry r is for n = r mod m."""
-        folded = [0] * m
-        for value, count in self.counts.items():
-            folded[value % m] += count
+    def fold(self, m: int, shifts: Iterable[int] = (0,)) -> dict[int, int]:
+        """Total count per residue class mod m (m >= 1) of the image shifted by each shift.
+
+        Only the classes that are hit appear, so no work or space is sized by m.
+        """
+        folded: dict[int, int] = {}
+        for shift in shifts:
+            for value, count in self.counts.items():
+                r = (value + shift) % m
+                folded[r] = folded.get(r, 0) + count
         return folded
 
 
@@ -195,23 +202,8 @@ def modular_repfn(form: LinearForm, sets: SetTuple, m: int) -> list[int]:
     """Fold the representation function into residue classes mod m."""
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError("modulus m must be a positive integer")
-    return image_repfn(form, sets).fold(m)
-
-
-def _augmented_count(
-    support: Iterable[tuple[int, int]], v: int, member: Callable[[int], bool], n: int
-) -> int:
-    """Count tuples a with v | n - psi(a) and (n - psi(a)) / v a member.
-
-    Works for any nonzero v: Python's floor division is exact whenever the
-    remainder test passes, regardless of sign.
-    """
-    total = 0
-    for value, mult in support:
-        delta = checked_sub(n, value)
-        if delta % v == 0 and member(delta // v):
-            total += mult
-    return total
+    folded = image_repfn(form, sets).fold(m)
+    return [folded.get(r, 0) for r in range(m)]
 
 
 def augmented_repfn(form: AugmentedForm, sets: SetTuple, periodic: "PeriodicSet", n: int) -> int:
@@ -223,8 +215,9 @@ def augmented_repfn(form: AugmentedForm, sets: SetTuple, periodic: "PeriodicSet"
     if not form.is_normalized:
         raise ValueError("augmented counting requires a normalized form (v >= 1)")
     ensure_int64(n, "n")
-    support = image_repfn(form.base, sets).counts.items()
-    return _augmented_count(support, form.v, periodic.member, n)
+    period = checked_mul(form.v, periodic.modulus)
+    folded = image_repfn(form.base, sets).fold(period, (form.v * r for r in periodic.residues))
+    return folded.get(n % period, 0)
 
 
 def augmented_repfn_finite(
@@ -232,6 +225,5 @@ def augmented_repfn_finite(
 ) -> int:
     """Count representations n = psi(a) + v*b with b in a finite set; any v != 0."""
     ensure_int64(n, "n")
-    finite = frozenset(members)
-    support = image_repfn(form.base, sets).counts.items()
-    return _augmented_count(support, form.v, finite.__contains__, n)
+    image = image_repfn(form.base, sets)
+    return sum(image[n - form.v * b] for b in frozenset(members))

@@ -6,10 +6,12 @@ multiple of its minimal period; normalize() returns the minimal one.
 
 check_t_complementing decides whether a pair (sets, B) represents every
 integer exactly t times under an augmented form. The augmented count is
-periodic with period v*m (shifting n by v*m shifts the required b by m,
-which membership in B cannot see), so scanning one full window of length
-v*m decides the whole line. The window is scanned outward from zero so a
-failure is reported at the violating n of least absolute value.
+periodic with period P = v*m (shifting n by P shifts the required b by m,
+which membership in B cannot see), so one fold of the image shifted by
+v*B into the classes mod P decides the whole line: the tiling identity
+F_psi(z) * F_B(z^v) = t * (1 + ... + z^(P-1)) mod z^P - 1. The fold keeps
+only the classes that are hit, so no work is sized by P. A failure is
+reported at the violating n of least absolute value, positive first.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .checked import checked_mul, ensure_int64
-from .forms import AugmentedForm, SetTuple, _augmented_count, image_repfn
+from .forms import AugmentedForm, SetTuple, image_repfn
 
 
 @dataclass(frozen=True)
@@ -100,12 +102,20 @@ def check_t_complementing(
     if t < 0:
         raise ValueError("t must be a nonnegative integer")
     period = checked_mul(form.v, periodic.modulus)
-    support = image_repfn(form.base, sets).support()
+    folded = image_repfn(form.base, sets).fold(period, (form.v * r for r in periodic.residues))
+    if t == 0:
+        # every class that is hit fails; report the one nearest zero
+        if not folded:
+            return ComplementCertificate(True, period, None)
+        nearest = (r if 2 * r <= period else r - period for r in folded)
+        n = min(nearest, key=lambda n: (abs(n), n < 0))
+        return ComplementCertificate(False, period, Violation(n, folded[n % period], t))
     # n = 0, 1, -1, 2, -2, ...: the first `period` of them fill an interval,
-    # so they meet every residue class once
+    # so they meet every residue class once; each n that passes uses up a
+    # class that is hit, so a failure shows within len(folded) + 1 steps
     for k in range(period):
         n = (k + 1) // 2 if k % 2 else -(k // 2)
-        observed = _augmented_count(support, form.v, periodic.member, n)
+        observed = folded.get(n % period, 0)
         if observed != t:
             return ComplementCertificate(False, period, Violation(n, observed, t))
     return ComplementCertificate(True, period, None)

@@ -73,7 +73,6 @@ class RecursionContext:
     """Everything the two step identities need, precomputed from (form, sets, t)."""
 
     form: AugmentedForm
-    sets: SetTuple
     t: int
     image: RepFunction
     gap: int
@@ -117,7 +116,6 @@ def build_context(form: AugmentedForm, sets: SetTuple, t: int) -> RecursionConte
             backward[offset] = backward.get(offset, 0) + mult
     return RecursionContext(
         form=form,
-        sets=sets,
         t=t,
         image=rep,
         gap=gap,

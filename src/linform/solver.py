@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 from .checked import checked_add, checked_mul, checked_sub
 from .errors import InconsistentWindowError
-from .forms import AugmentedForm, RepFunction, SetTuple, _augmented_count, image_repfn
+from .forms import AugmentedForm, RepFunction, SetTuple, image_repfn
 from .periodic import PeriodicSet, check_t_complementing
 from .recursion import DEFAULT_MAX_GAP, PeriodReport, Window, build_context, detect_period
 
@@ -67,7 +67,6 @@ class WindowProblem:
     """A window problem at radius N; the candidate interval follows from the image, N and v."""
 
     form: AugmentedForm
-    sets: SetTuple
     target: TargetFunction | None
     N: int
     image: RepFunction
@@ -129,7 +128,7 @@ def candidate_bound(form: AugmentedForm, sets: SetTuple, N: int) -> WindowProble
         raise ValueError("window problems require a normalized form (v >= 1)")
     if N < 0:
         raise ValueError("window radius N must be nonnegative")
-    return WindowProblem(form, sets, None, N, image_repfn(form.base, sets))
+    return WindowProblem(form, None, N, image_repfn(form.base, sets))
 
 
 def solve_window(problem: WindowProblem, max_nodes: int = DEFAULT_NODE_BUDGET) -> SolveResult:
@@ -215,10 +214,17 @@ def solve_window(problem: WindowProblem, max_nodes: int = DEFAULT_NODE_BUDGET) -
 
     # Re-verify the witness by counting each position afresh, apart from the search.
     witness = tuple(candidates[i] for i in chosen)
-    member = frozenset(witness).__contains__
+    members = frozenset(witness)
     for n in range(-N, N + 1):
         need = target.at(n)
-        if need is not None and _augmented_count(support, v, member, n) != need:
+        if need is None:
+            continue
+        observed = 0
+        for value, mult in support:
+            delta = n - value
+            if delta % v == 0 and delta // v in members:
+                observed += mult
+        if observed != need:
             raise AssertionError(f"witness failed re-verification at {n}")
     return SolveResult(SolveStatus.SOLVED, witness, nodes)
 
@@ -235,15 +241,6 @@ def recenter(form: AugmentedForm, members: tuple[int, ...], c: int) -> tuple[int
     return tuple(sorted(checked_sub(b, c) for b in members))
 
 
-def _degenerate_complement(image: RepFunction, v: int, t: int) -> PeriodicSet | None:
-    # Gap zero forces a constant membership bit: the only infinite candidate
-    # is B = Z, which works exactly when every residue class mod v carries
-    # t representations, t * v in all (checked first: it needs no v slots).
-    if t >= 1 and image.total() == t * v and all(c == t for c in image.fold(v)):
-        return PeriodicSet(1, (0,))
-    return None
-
-
 def stabilize(
     form: AugmentedForm,
     sets: SetTuple,
@@ -257,20 +254,18 @@ def stabilize(
         raise ValueError("max_n must be at least 1")
     ctx = build_context(form, sets, t)
     if ctx.gap == 0:
-        candidate = _degenerate_complement(ctx.image, form.v, t)
-        if candidate is not None:
-            cert = check_t_complementing(form, sets, candidate, t)
-            if cert.verdict:
-                report = PeriodReport(
-                    period=1, bound=1, periodic_set=candidate, preperiod_checked=False
-                )
-                attempt = StabilizeAttempt(0, "degenerate", "constant membership, B = Z verified")
-                return StabilizeResult(candidate, report, (attempt,))
+        # Gap zero forces a constant membership bit: the only infinite
+        # candidate is B = Z.
+        everything = PeriodicSet(1, (0,))
+        if check_t_complementing(form, sets, everything, t).verdict:
+            report = PeriodReport(period=1, bound=1, periodic_set=everything, preperiod_checked=False)
+            attempt = StabilizeAttempt(0, "degenerate", "constant membership, B = Z verified")
+            return StabilizeResult(everything, report, (attempt,))
         attempt = StabilizeAttempt(0, "degenerate", "constant membership admits no infinite B")
         return StabilizeResult(None, None, (attempt,))
 
     attempts: list[StabilizeAttempt] = []
-    skeleton = WindowProblem(form, sets, TargetFunction.constant(t), 0, ctx.image)
+    skeleton = WindowProblem(form, TargetFunction.constant(t), 0, ctx.image)
     for radius in range(1, max_n + 1):
         result = solve_window(replace(skeleton, N=radius), max_nodes=max_nodes)
         if result.status is SolveStatus.UNSAT:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from linform import forms
+from linform import cli, forms
 from linform.cli import main
 
 HERE = Path(__file__).parent
@@ -118,6 +118,17 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    def test_unexpected_exception_exits_2_with_one_line(self, capsys, monkeypatch):
+        def broken(args, problem):
+            raise RuntimeError("broken\nhandler")
+
+        monkeypatch.setitem(cli.COMMANDS, "image", (broken, ()))
+        code, out, err = run(capsys, "image", "--input", data("psi.json"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_format_flag_never_changes_exit_code(self, capsys):
         for argv in (["check", "--input", data("gapset.json")],):

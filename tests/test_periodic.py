@@ -14,9 +14,11 @@ from linform import (
     augmented_repfn,
     augmented_repfn_finite,
     check_t_complementing,
+    stabilize,
 )
 
 from corpus import CORPUS
+from oracles import oracle_augmented_count
 
 
 @st.composite
@@ -191,6 +193,25 @@ class TestCheckTComplementing:
         moved_b = shifted(b, -(1 * c0 + 2 * c1))
         assert check_t_complementing(form, moved_sets, moved_b, 1).verdict is True
 
+    def test_zero_target_reports_nearest_hit_class_without_scanning(self):
+        # P = 2^40 with one class hit, half a period from zero: a scan of n
+        # outward from zero would walk 2^39 values before reaching it.
+        form = AugmentedForm(LinearForm((1,)), 1)
+        b = PeriodicSet(2**40, (2**39,))
+        cert = check_t_complementing(form, SetTuple(((0,),)), b, 0)
+        assert cert.verdict is False
+        assert cert.first_violation == (549755813888, 1, 0)
+
+    @pytest.mark.parametrize("t", [0, 1])
+    def test_gap_zero_stabilize_does_not_walk_v_residues(self, t):
+        # gap 0 leaves B = Z as the only infinite candidate; with v = 2^40 the
+        # image {0, 1} hits 2 of the 2^40 classes, so the check fails at once.
+        result = stabilize(AugmentedForm(LinearForm((1,)), 2**40), SetTuple(((0, 1),)), t, 3)
+        assert result.found is False
+        assert [(a.N, a.status, a.detail) for a in result.attempts] == [
+            (0, "degenerate", "constant membership admits no infinite B")
+        ]
+
     def test_certificate_consistency_invariant(self):
         with pytest.raises(ValueError):
             from linform import ComplementCertificate, Violation
@@ -208,3 +229,34 @@ class TestAgainstDirectCounts:
         assert augmented_repfn(form, sets, b, n) == augmented_repfn_finite(
             form, sets, members, n
         )
+
+
+@st.composite
+def augmented_instances(draw):
+    h = draw(st.integers(min_value=1, max_value=2))
+    coefficient = st.integers(min_value=-3, max_value=3).filter(bool)
+    u = draw(st.lists(coefficient, min_size=h, max_size=h))
+    element_sets = st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=3, unique=True)
+    sets = draw(st.lists(element_sets, min_size=h, max_size=h))
+    v = draw(st.integers(min_value=1, max_value=3))
+    return u, v, sets
+
+
+class TestAgainstPlainScan:
+    @given(augmented_instances(), periodic_sets(max_modulus=6), st.integers(min_value=0, max_value=3))
+    def test_verdict_and_first_violation(self, instance, b, t):
+        # The count has period v*m, so a violation anywhere shows within
+        # [-P, P]; the first one in order of |n|, positive first, is the
+        # least-magnitude violation.
+        u, v, sets = instance
+        cert = check_t_complementing(AugmentedForm(LinearForm(u), v), SetTuple(sets), b, t)
+        period = v * b.modulus
+        expected = None
+        for n in sorted(range(-period, period + 1), key=lambda n: (abs(n), n < 0)):
+            observed = oracle_augmented_count(u, v, sets, lambda y: y % b.modulus in b.residues, n)
+            if observed != t:
+                expected = (n, observed, t)
+                break
+        assert cert.verdict is (expected is None)
+        assert cert.period_checked == period
+        assert cert.first_violation == expected
