@@ -3,7 +3,10 @@
 A form u1*x1 + ... + uh*xh with nonzero integer coefficients, applied
 coordinatewise to a tuple of finite integer sets, has a finite image. The
 representation function records how many coordinate tuples land on each
-value; everything here is exact enumeration over the Cartesian product.
+value. The image is the sumset u1*A1 + ... + uh*Ah, so it is built one
+coordinate at a time, by convolving the counts so far with ui*Ai: the
+product of the generating polynomials F_Ai(z^ui), one factor per step.
+The cost follows the sizes of the partial images, not that of the product.
 
 The augmented variants append a term v*y, y ranging over a finite or a
 periodic set B, and count representations n = u1*a1 + ... + uh*ah + v*b
@@ -183,13 +186,30 @@ def eval_form(form: LinearForm, values: Sequence[int]) -> int:
 
 
 def image_repfn(form: LinearForm, sets: SetTuple) -> RepFunction:
-    """Representation function of the form over the full Cartesian product."""
+    """Representation function of the form, folded in one coordinate at a time.
+
+    Overflow is checked once per coordinate, in coordinate order: the two
+    extremes ui*min(Ai) and ui*max(Ai), then the running extremes of the
+    partial sums. A prefix sum u1*a1 + ... + uk*ak leaves the signed 64-bit
+    range for some tuple exactly when one of those does, so this raises
+    IntegerOverflowError on the same inputs as eval_form over every tuple,
+    and the convolution itself runs on plain ints.
+    """
     if len(sets) != form.h:
         raise ValueError(f"form has {form.h} coordinates, got {len(sets)} sets")
-    counts: dict[int, int] = {}
-    for combo in sets.iter_tuples():
-        value = eval_form(form, combo)
-        counts[value] = counts.get(value, 0) + 1
+    counts = {0: 1}
+    lo = hi = 0
+    for u, elements in zip(form.coeffs, sets.sets):
+        low, high = sorted((checked_mul(u, elements[0]), checked_mul(u, elements[-1])))
+        lo, hi = checked_add(lo, low), checked_add(hi, high)
+        steps = [u * a for a in elements]
+        folded: dict[int, int] = {}
+        get = folded.get
+        for value, count in counts.items():
+            for step in steps:
+                key = value + step
+                folded[key] = get(key, 0) + count
+        counts = folded
     return RepFunction(counts)
 
 

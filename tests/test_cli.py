@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linform import cli, forms
 from linform.cli import main
@@ -135,6 +139,53 @@ class TestExitCodes:
             json_code, _, _ = run(capsys, *argv)
             tsv_code, _, _ = run(capsys, *argv, "--format", "tsv")
             assert json_code == tsv_code == 1
+
+
+# Generated counting problems: small forms, half of them with elements and
+# coefficients that may sit near 2**62, where products and partial sums
+# overflow int64.
+_small_st = st.integers(min_value=-9, max_value=9)
+_near_st = st.builds(
+    lambda sign, d: sign * (1 << 62) + d, st.sampled_from((1, -1)), st.integers(-2, 2)
+)
+
+
+@st.composite
+def counting_documents(draw):
+    values = st.one_of(_small_st, _near_st) if draw(st.booleans()) else _small_st
+    h = draw(st.integers(min_value=1, max_value=4))
+    u = [draw(values.filter(bool)) for _ in range(h)]
+    A = [draw(st.lists(values, min_size=1, max_size=6, unique=True)) for _ in range(h)]
+    return {"u": u, "A": A}
+
+
+class TestGeneratedDocuments:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        counting_documents(),
+        st.integers(min_value=-1, max_value=12),
+        st.integers(min_value=-1, max_value=3),
+    )
+    def test_counting_commands_end_in_a_classified_outcome(self, tmp_path_factory, document, m, t):
+        path = tmp_path_factory.mktemp("generated") / "problem.json"
+        path.write_text(json.dumps(document))
+        for argv in (
+            ["image"],
+            ["repfn"],
+            ["modrep", "-m", str(m)],
+            ["cyclotomy", "-m", str(m), "-t", str(t)],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([*argv, "--input", str(path)])
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            assert "internal error" not in err.getvalue()
+            if code == 2:
+                assert out.getvalue() == ""
+                assert err.getvalue().startswith("error:")
+            else:
+                json.loads(out.getvalue())
 
 
 class TestImageBuiltOnce:

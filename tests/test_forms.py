@@ -1,6 +1,9 @@
-"""Exact-enumeration counting: forms, images, folding, augmented counts."""
+"""Exact counting: forms, images, overflow, folding, augmented counts."""
 
 from __future__ import annotations
+
+import time
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -31,12 +34,21 @@ element_st = st.integers(min_value=-9, max_value=9)
 set_st = st.lists(element_st, min_size=1, max_size=4, unique=True)
 
 
+# Magnitudes near 2**62, where a product or a partial sum of the form can
+# leave the signed 64-bit range, mixed with small values that keep it inside.
+NEAR = 1 << 62
+small_st = st.integers(min_value=-4, max_value=4)
+near_st = st.builds(lambda sign, d: sign * NEAR + d, st.sampled_from((1, -1)), st.integers(-3, 3))
+wide_coeff_st = st.one_of(st.sampled_from((1, -1, 2, -2, 3, -3)), near_st)
+wide_set_st = st.lists(st.one_of(small_st, near_st), min_size=1, max_size=3, unique=True)
+
+
 @st.composite
-def form_and_sets(draw, max_arity: int = 3):
+def form_and_sets(draw, max_arity: int = 3, coeffs=coeff_st, sets=set_st):
     arity = draw(st.integers(min_value=1, max_value=max_arity))
-    coeffs = tuple(draw(coeff_st) for _ in range(arity))
-    sets = tuple(tuple(draw(set_st)) for _ in range(arity))
-    return LinearForm(coeffs), SetTuple(sets)
+    drawn_coeffs = tuple(draw(coeffs) for _ in range(arity))
+    drawn_sets = tuple(tuple(draw(sets)) for _ in range(arity))
+    return LinearForm(drawn_coeffs), SetTuple(drawn_sets)
 
 
 class TestConstruction:
@@ -160,6 +172,73 @@ class TestImageRepfn:
         base = image_repfn(form, sets).counts
         reflected = image_repfn(form.negate(), sets).counts
         assert reflected == {-n: count for n, count in base.items()}
+
+
+def overflows_on_some_tuple(form: LinearForm, sets: SetTuple) -> bool:
+    for combo in sets.iter_tuples():
+        try:
+            eval_form(form, combo)
+        except IntegerOverflowError:
+            return True
+    return False
+
+
+class TestImageOverflow:
+    # image_repfn checks overflow once per coordinate; eval_form checks every
+    # multiply-add of every tuple. Both must refuse exactly the same inputs.
+
+    def test_prefix_overflow_with_fitting_total(self):
+        # 2**62 + 2**62 - 2**62 fits, but the partial sum 2**63 does not
+        form, sets = LinearForm((1, 1, -1)), SetTuple(((NEAR,),) * 3)
+        assert overflows_on_some_tuple(form, sets)
+        with pytest.raises(IntegerOverflowError):
+            image_repfn(form, sets)
+
+    def test_overflowing_extreme_at_low_end_under_negative_coefficient(self):
+        # -2 * min(A) = 2**63 is the largest product; the top of A is harmless
+        form, sets = LinearForm((-2,)), SetTuple(((-NEAR, 0, 1),))
+        assert overflows_on_some_tuple(form, sets)
+        with pytest.raises(IntegerOverflowError):
+            image_repfn(form, sets)
+
+    def test_extremes_one_inside_the_range_do_not_raise(self):
+        form, sets = LinearForm((-2,)), SetTuple(((-NEAR + 1, 0, 1),))
+        assert image_repfn(form, sets).counts == {2 * NEAR - 2: 1, 0: 1, -2: 1}
+
+    def test_partial_sum_may_reach_int64_min_exactly(self):
+        form, sets = LinearForm((-1, -1)), SetTuple(((NEAR,), (NEAR,)))
+        assert image_repfn(form, sets).counts == {-2 * NEAR: 1}
+        with pytest.raises(IntegerOverflowError):
+            image_repfn(LinearForm((-1, -1, -1)), SetTuple(((NEAR,), (NEAR,), (1,))))
+
+    @settings(max_examples=300)
+    @given(form_and_sets(coeffs=wide_coeff_st, sets=wide_set_st))
+    def test_raises_exactly_when_some_tuple_overflows(self, pair):
+        form, sets = pair
+        if overflows_on_some_tuple(form, sets):
+            with pytest.raises(IntegerOverflowError):
+                image_repfn(form, sets)
+        else:
+            assert image_repfn(form, sets).counts == oracle_image_counts(form.coeffs, sets.sets)
+
+
+class TestImageScale:
+    def test_six_intervals_beyond_the_cartesian_walk(self):
+        # 40**6 = 4.1e9 tuples: out of reach tuple by tuple, about 24,000
+        # additions coordinate by coordinate. Checked against facts that need
+        # no second convolution.
+        start = time.perf_counter()
+        rep = image_repfn(LinearForm((1,) * 6), SetTuple((tuple(range(40)),) * 6))
+        elapsed = time.perf_counter() - start
+        assert rep.total() == 40**6
+        assert (rep.g_min, rep.g_max) == (0, 234)
+        assert all(rep[n] == rep[234 - n] for n in range(235))
+        assert rep.count_min == rep.count_max == 1
+        # compositions of 117 into 6 parts below 40, by inclusion-exclusion
+        assert rep[117] == sum(
+            (-1) ** j * comb(6, j) * comb(117 - 40 * j + 5, 5) for j in range(3)
+        )
+        assert elapsed < 1.0
 
 
 class TestDiameterReport:
