@@ -21,7 +21,6 @@ from .cyclotomy import (
     LaurentPoly,
     check_condition,
     gen_poly,
-    lambda_poly,
     min_shift,
     product,
     reduce_cyclic,
@@ -42,7 +41,6 @@ from .forms import (
     SetTuple,
     augmented_repfn,
     augmented_repfn_finite,
-    diameter_report,
     eval_form,
     image_repfn,
     modular_repfn,
@@ -54,11 +52,9 @@ from .recursion import (
     PeriodReport,
     RecursionContext,
     Window,
-    backward_step,
     build_context,
     detect_period,
     extend,
-    forward_step,
 )
 from .solver import (
     DEFAULT_NODE_BUDGET,
@@ -107,7 +103,6 @@ __all__ = [
     "WindowProblem",
     "augmented_repfn",
     "augmented_repfn_finite",
-    "backward_step",
     "build_context",
     "candidate_bound",
     "check_condition",
@@ -117,13 +112,10 @@ __all__ = [
     "checked_neg",
     "checked_sub",
     "detect_period",
-    "diameter_report",
     "eval_form",
     "extend",
-    "forward_step",
     "gen_poly",
     "image_repfn",
-    "lambda_poly",
     "min_shift",
     "modular_repfn",
     "parse_problem",

@@ -89,7 +89,7 @@ def _target_count(args, problem: ProblemFile) -> int:
 
 
 def _cmd_image(args, problem):
-    rep = image_repfn(problem.linear_form(), problem.set_tuple())
+    rep = image_repfn(problem.form, problem.domain)
     out = {
         "g_min": rep.g_min,
         "g_max": rep.g_max,
@@ -102,21 +102,21 @@ def _cmd_image(args, problem):
 
 
 def _cmd_repfn(args, problem):
-    rep = image_repfn(problem.linear_form(), problem.set_tuple())
+    rep = image_repfn(problem.form, problem.domain)
     out = {"total": rep.total(), "support": [[n, c] for n, c in rep.support()]}
     return out, 0, f"{rep.total()} tuples over {len(rep.counts)} values"
 
 
 def _cmd_modrep(args, problem):
     m = _need(args.m, "-m")
-    counts = modular_repfn(problem.linear_form(), problem.set_tuple(), m)
+    counts = modular_repfn(problem.form, problem.domain, m)
     return {"m": m, "counts": counts}, 0, f"residue counts mod {m}"
 
 
 def _cmd_cyclotomy(args, problem):
     m = _need(args.m, "-m")
     t = _target_count(args, problem)
-    holds, shift, reduced = check_condition(problem.linear_form(), problem.set_tuple(), m, t)
+    holds, shift, reduced = check_condition(problem.form, problem.domain, m, t)
     out = {
         "verdict": holds,
         "m": m,
@@ -128,12 +128,25 @@ def _cmd_cyclotomy(args, problem):
     return out, 0 if holds else 1, f"{note} mod {m} at t = {t}"
 
 
+def _violation(out: dict, cert, reflected: bool) -> int:
+    """Add the certificate's violation to out, read back through the reflection; return its n."""
+    violation = cert.first_violation
+    n = -violation.n if reflected else violation.n
+    out["violations"] = [{"n": n, "observed": violation.observed, "expected": violation.expected}]
+    return n
+
+
+def _inconsistent(exc: InconsistentWindowError, reflected: bool):
+    out = {"verdict": False, "inconsistent_at": exc.index, "reflected": reflected}
+    return out, 1, f"no consistent bit at {exc.index}"
+
+
 def _cmd_check(args, problem):
     form, reflected = problem.augmented_form().normalized()
     if problem.periodic is None:
         raise _UsageError('this command needs field "B" in the problem file')
     t = _target_count(args, problem)
-    cert = check_t_complementing(form, problem.set_tuple(), problem.periodic, t)
+    cert = check_t_complementing(form, image_repfn(form.base, problem.domain), problem.periodic, t)
     out = {
         "verdict": cert.verdict,
         "t": t,
@@ -142,10 +155,8 @@ def _cmd_check(args, problem):
     }
     if cert.verdict:
         return out, 0, f"t-complementing over period {cert.period_checked}"
-    violation = cert.first_violation
-    n = -violation.n if reflected else violation.n
-    out["violations"] = [{"n": n, "observed": violation.observed, "expected": violation.expected}]
-    return out, 1, f"not t-complementing: count at {n} is {violation.observed}, expected {t}"
+    n = _violation(out, cert, reflected)
+    return out, 1, f"not t-complementing: count at {n} is {cert.first_violation.observed}, expected {t}"
 
 
 def _cmd_extend(args, problem):
@@ -154,12 +165,11 @@ def _cmd_extend(args, problem):
     seed = _parse_seed(_need(args.seed, "--seed"))
     lo = _need(args.lo, "--from")
     hi = _need(args.hi, "--to")
-    ctx = build_context(form, problem.set_tuple(), t)
+    ctx = build_context(form, problem.domain, t)
     try:
         window = extend(ctx, seed, lo, hi)
     except InconsistentWindowError as exc:
-        out = {"verdict": False, "inconsistent_at": exc.index, "reflected": reflected}
-        return out, 1, f"no consistent bit at {exc.index}"
+        return _inconsistent(exc, reflected)
     bits = "".join(str(b) for b in window.bits)
     out = {"verdict": True, "start": window.start, "bits": bits, "reflected": reflected}
     return out, 0, f"extended to [{lo}, {hi}]"
@@ -169,13 +179,12 @@ def _cmd_period(args, problem):
     form, reflected = problem.augmented_form().normalized()
     t = _target_count(args, problem)
     seed = _parse_seed(_need(args.seed, "--seed"))
-    ctx = build_context(form, problem.set_tuple(), t)
+    ctx = build_context(form, problem.domain, t)
     try:
         report = detect_period(ctx, seed, max_gap=args.max_gap)
     except InconsistentWindowError as exc:
-        out = {"verdict": False, "inconsistent_at": exc.index, "reflected": reflected}
-        return out, 1, f"no consistent bit at {exc.index}"
-    cert = check_t_complementing(form, problem.set_tuple(), report.periodic_set, t)
+        return _inconsistent(exc, reflected)
+    cert = check_t_complementing(form, ctx.image, report.periodic_set, t)
     out = {
         "verdict": cert.verdict,
         "period": report.period,
@@ -186,10 +195,7 @@ def _cmd_period(args, problem):
     }
     if cert.verdict:
         return out, 0, f"verified complement of period {report.period}"
-    violation = cert.first_violation
-    n = -violation.n if reflected else violation.n
-    out["violations"] = [{"n": n, "observed": violation.observed, "expected": violation.expected}]
-    return out, 1, f"period {report.period} candidate fails at {n}"
+    return out, 1, f"period {report.period} candidate fails at {_violation(out, cert, reflected)}"
 
 
 def _cmd_solve(args, problem):
@@ -205,7 +211,7 @@ def _cmd_solve(args, problem):
         target = TargetFunction.constant(_target_count(args, problem))
     if reflected:
         target = TargetFunction(target.default, {-n: c for n, c in target.overrides.items()})
-    problem_window = replace(candidate_bound(form, problem.set_tuple(), radius), target=target)
+    problem_window = replace(candidate_bound(form, problem.domain, radius), target=target)
     result = solve_window(problem_window, max_nodes=args.max_nodes)
     out = {
         "status": result.status.value,
@@ -230,7 +236,7 @@ def _cmd_stabilize(args, problem):
     if max_n < 1:
         raise _UsageError("-N must be at least 1")
     result = stabilize(
-        form, problem.set_tuple(), t, max_n, max_nodes=args.max_nodes, max_gap=args.max_gap
+        form, problem.domain, t, max_n, max_nodes=args.max_nodes, max_gap=args.max_gap
     )
     attempts = [{"N": a.N, "status": a.status, "detail": a.detail} for a in result.attempts]
     out: dict = {"verdict": result.found}

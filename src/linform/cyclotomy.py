@@ -35,9 +35,6 @@ class LaurentPoly:
             if coeff == 0:
                 raise ValueError(f"zero coefficient stored at exponent {exponent}")
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
 
 @dataclass(frozen=True)
 class CyclicPoly:
@@ -102,7 +99,7 @@ def product(factors: Sequence[LaurentPoly]) -> LaurentPoly:
 
 def min_shift(poly: LaurentPoly) -> int:
     """Least L >= 0 such that z^L * poly has no negative exponents."""
-    if poly.is_zero():
+    if not poly.terms:
         raise ValueError("the zero polynomial has no canonical shift")
     low = min(poly.terms)
     return -low if low < 0 else 0
@@ -117,13 +114,6 @@ def reduce_cyclic(poly: LaurentPoly, m: int) -> CyclicPoly:
         index = exponent % m
         coeffs[index] = checked_add(coeffs[index], coeff)
     return CyclicPoly(m, tuple(coeffs))
-
-
-def lambda_poly(m: int) -> CyclicPoly:
-    """All-ones vector 1 + z + ... + z^(m-1), the target of the condition."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError("modulus m must be a positive integer")
-    return CyclicPoly(m, (1,) * m)
 
 
 def check_condition(form: LinearForm, sets: SetTuple, m: int, t: int) -> ConditionReport:

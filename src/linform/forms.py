@@ -22,11 +22,10 @@ range raises IntegerOverflowError, never wraps.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .checked import checked_add, checked_mul, checked_neg, checked_sub, ensure_int64
 
@@ -109,9 +108,6 @@ class SetTuple:
 
     def product_size(self) -> int:
         return math.prod(len(s) for s in self.sets)
-
-    def iter_tuples(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(*self.sets)
 
 
 @dataclass(frozen=True)
@@ -211,11 +207,6 @@ def image_repfn(form: LinearForm, sets: SetTuple) -> RepFunction:
                 folded[key] = get(key, 0) + count
         counts = folded
     return RepFunction(counts)
-
-
-def diameter_report(form: LinearForm, sets: SetTuple) -> RepFunction:
-    """The image, read for its extremes: g_min, g_max, diameter, count_min, count_max."""
-    return image_repfn(form, sets)
 
 
 def modular_repfn(form: LinearForm, sets: SetTuple, m: int) -> list[int]:

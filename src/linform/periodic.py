@@ -4,11 +4,12 @@ A periodic set is stored as a modulus m >= 1 together with the sorted
 residues it occupies in [0, m). The same set has one representation per
 multiple of its minimal period; normalize() returns the minimal one.
 
-check_t_complementing decides whether a pair (sets, B) represents every
-integer exactly t times under an augmented form. The augmented count is
-periodic with period P = v*m (shifting n by P shifts the required b by m,
-which membership in B cannot see), so one fold of the image shifted by
-v*B into the classes mod P decides the whole line: the tiling identity
+check_t_complementing decides whether B represents every integer exactly
+t times under an augmented form, reading the image of the base form over
+the sets that the caller built once for its whole command. The augmented
+count is periodic with period P = v*m (shifting n by P shifts the required
+b by m, which membership in B cannot see), so one fold of the image shifted
+by v*B into the classes mod P decides the whole line: the tiling identity
 F_psi(z) * F_B(z^v) = t * (1 + ... + z^(P-1)) mod z^P - 1. The fold keeps
 only the classes that are hit, so no work is sized by P. A failure is
 reported at the violating n of least absolute value, positive first.
@@ -21,7 +22,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .checked import checked_mul, ensure_int64
-from .forms import AugmentedForm, SetTuple, image_repfn
+from .forms import AugmentedForm, RepFunction
 
 
 @dataclass(frozen=True)
@@ -54,17 +55,20 @@ class PeriodicSet:
     def normalize(self) -> PeriodicSet:
         """Smallest-modulus representation of the same set.
 
-        A divisor m' of m works exactly when the residue set is invariant
-        under adding m' mod m; divisors are tried in ascending order.
+        The minimal period g divides m and the residue set is invariant under
+        adding g mod m, so g carries the least residue r0 to a residue r:
+        g = (r - r0) mod m, with 0 read as m. Only those candidates are
+        tried, in ascending order; m itself is always among them.
         """
-        m = self.modulus
-        for candidate in range(1, m + 1):
-            if m % candidate != 0:
-                continue
-            if all((r + candidate) % m in self._residue_set for r in self.residues):
-                folded = sorted({r % candidate for r in self.residues})
-                return PeriodicSet(candidate, tuple(folded))
-        raise AssertionError("unreachable: m itself always folds")
+        m, residues = self.modulus, self.residues
+        if not residues:
+            return PeriodicSet(1, ())
+        g = next(
+            g
+            for g in sorted({(r - residues[0]) % m or m for r in residues})
+            if m % g == 0 and all((r + g) % m in self._residue_set for r in residues)
+        )
+        return PeriodicSet(g, tuple({r % g for r in residues}))
 
     def to_dict(self) -> dict:
         return {"modulus": self.modulus, "residues": list(self.residues)}
@@ -94,15 +98,15 @@ class ComplementCertificate:
 
 
 def check_t_complementing(
-    form: AugmentedForm, sets: SetTuple, periodic: PeriodicSet, t: int
+    form: AugmentedForm, image: RepFunction, periodic: PeriodicSet, t: int
 ) -> ComplementCertificate:
-    """Decide whether every integer has exactly t representations psi(a) + v*b, b in B."""
+    """From psi's image, decide whether every integer is psi(a) + v*b, b in B, exactly t times."""
     if not form.is_normalized:
         raise ValueError("verification requires a normalized form (v >= 1)")
     if t < 0:
         raise ValueError("t must be a nonnegative integer")
     period = checked_mul(form.v, periodic.modulus)
-    folded = image_repfn(form.base, sets).fold(period, (form.v * r for r in periodic.residues))
+    folded = image.fold(period, (form.v * r for r in periodic.residues))
     if t == 0:
         # every class that is hit fails; report the one nearest zero
         if not folded:

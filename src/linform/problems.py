@@ -45,12 +45,6 @@ class ProblemFile:
     def sets(self) -> tuple[tuple[int, ...], ...]:
         return self.domain.sets
 
-    def linear_form(self) -> LinearForm:
-        return self.form
-
-    def set_tuple(self) -> SetTuple:
-        return self.domain
-
     def augmented_form(self) -> AugmentedForm:
         if self.v is None:
             raise ProblemFormatError('this command needs field "v" in the problem file')

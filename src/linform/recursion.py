@@ -79,14 +79,6 @@ class RecursionContext:
     forward_offsets: tuple[tuple[int, int], ...]
     backward_offsets: tuple[tuple[int, int], ...]
 
-    @property
-    def count_min(self) -> int:
-        return self.image.count_min
-
-    @property
-    def count_max(self) -> int:
-        return self.image.count_max
-
 
 @dataclass(frozen=True)
 class PeriodReport:
@@ -133,13 +125,13 @@ def _as_bit(rhs: int, count: int, index: int) -> int:
     raise InconsistentWindowError(index)
 
 
-def _check_seed(ctx: RecursionContext, seed: Window, what: str, max_gap: int | None = None) -> None:
+def _check_seed(ctx: RecursionContext, seed: Window, max_gap: int | None = None) -> None:
     if ctx.gap == 0:
         raise DegenerateGapError("gap is zero: the window recursion has no steps")
     if max_gap is not None and ctx.gap > max_gap:
         raise GapTooLargeError(f"gap {ctx.gap} exceeds the configured limit {max_gap}")
     if len(seed.bits) < ctx.gap:
-        raise ValueError(f"{what} holds {len(seed.bits)} bits, recursion needs {ctx.gap}")
+        raise ValueError(f"seed holds {len(seed.bits)} bits, recursion needs {ctx.gap}")
 
 
 def _fill(ctx: RecursionContext, bits: list[int], base: int, lo: int, hi: int, forward: bool) -> None:
@@ -151,10 +143,10 @@ def _fill(ctx: RecursionContext, bits: list[int], base: int, lo: int, hi: int, f
     index, in stepping order, where no bit fits.
     """
     if forward:
-        offsets, count, sign = ctx.forward_offsets, ctx.count_min, -1
+        offsets, count, sign = ctx.forward_offsets, ctx.image.count_min, -1
         order = range(lo - base, hi - base + 1)
     else:
-        offsets, count, sign = ctx.backward_offsets, ctx.count_max, 1
+        offsets, count, sign = ctx.backward_offsets, ctx.image.count_max, 1
         order = range(hi - base, lo - base - 1, -1)
     t = ctx.t
     for i in order:
@@ -164,30 +156,13 @@ def _fill(ctx: RecursionContext, bits: list[int], base: int, lo: int, hi: int, f
         bits[i] = _as_bit(rhs, count, base + i)
 
 
-def forward_step(ctx: RecursionContext, window: Window) -> int:
-    """Bit at window.end + 1 from the g_min identity; needs the last gap bits."""
-    _check_seed(ctx, window, "window")
-    bits = [*window.bits, 0]
-    _fill(ctx, bits, window.start, window.end + 1, window.end + 1, forward=True)
-    return bits[-1]
-
-
-def backward_step(ctx: RecursionContext, window: Window) -> int:
-    """Bit at window.start - 1 from the g_max identity; needs the first gap bits."""
-    _check_seed(ctx, window, "window")
-    n = window.start - 1
-    bits = [0, *window.bits]
-    _fill(ctx, bits, n, n, n, forward=False)
-    return bits[0]
-
-
 def extend(ctx: RecursionContext, seed: Window, lo: int, hi: int) -> Window:
     """Deterministically extend the seed to cover [lo, hi].
 
     [lo, hi] must contain the seed range. Raises InconsistentWindowError at
     the first index where no bit satisfies the relevant identity.
     """
-    _check_seed(ctx, seed, "seed")
+    _check_seed(ctx, seed)
     if lo > seed.start or hi < seed.end:
         raise ValueError("[lo, hi] must contain the seed range")
     bits = [0] * (seed.start - lo) + list(seed.bits) + [0] * (hi - seed.end)
@@ -208,7 +183,7 @@ def detect_period(
     InconsistentWindowError at the offending index. The returned set is
     normalized and its minimal period divides p.
     """
-    _check_seed(ctx, seed, "seed", max_gap)
+    _check_seed(ctx, seed, max_gap)
     gap = ctx.gap
     base = seed.start
     bits = list(seed.bits)

@@ -11,11 +11,14 @@ solve_window runs a canonical depth-first search over candidate membership:
 candidates ascend, the include branch is tried before the exclude branch,
 a running count above a finite f(n) prunes immediately, and once every
 undecided candidate lies too high to reach a position n, the count at n is
-forced and checked exactly. Candidates that cannot reach the window at all
-are excluded outright, so reported witnesses carry no idle elements. The
-search is exhaustive: Unsat is a proof, never a timeout; running out of the
-node budget reports ResourceLimit instead. Every witness is re-verified by
-direct finite counting before being returned.
+forced and checked exactly. The candidates listed run from the least to the
+greatest b for which some image value lands inside the window; those beyond
+either end are excluded outright. A candidate between them whose shifted
+image misses the window is still branched on, include first, so a witness
+can carry such idle elements. The search is exhaustive: Unsat is a proof,
+never a timeout; running out of the node budget reports ResourceLimit
+instead. Every witness is re-verified by direct finite counting before
+being returned.
 
 stabilize chains the pieces: it solves growing windows with the constant-t
 target, feeds each witness's central bits to the period detector, and
@@ -257,7 +260,7 @@ def stabilize(
         # Gap zero forces a constant membership bit: the only infinite
         # candidate is B = Z.
         everything = PeriodicSet(1, (0,))
-        if check_t_complementing(form, sets, everything, t).verdict:
+        if check_t_complementing(form, ctx.image, everything, t).verdict:
             report = PeriodReport(period=1, bound=1, periodic_set=everything, preperiod_checked=False)
             attempt = StabilizeAttempt(0, "degenerate", "constant membership, B = Z verified")
             return StabilizeResult(everything, report, (attempt,))
@@ -284,7 +287,7 @@ def stabilize(
         except InconsistentWindowError as exc:
             attempts.append(StabilizeAttempt(radius, "inconsistent", str(exc)))
             continue
-        cert = check_t_complementing(form, sets, report.periodic_set, t)
+        cert = check_t_complementing(form, ctx.image, report.periodic_set, t)
         if cert.verdict:
             attempts.append(StabilizeAttempt(radius, "verified", f"period {report.period}"))
             return StabilizeResult(report.periodic_set, report, tuple(attempts))

@@ -109,6 +109,18 @@ def oracle_window_satisfiable(
     return False
 
 
+def oracle_minimal_period(modulus: int, residues: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+    """Least g dividing the modulus with the residue set invariant under +g, and the folded residues.
+
+    Walks every integer up to the modulus, so keep the modulus small.
+    """
+    rset = set(residues)
+    for g in range(1, modulus + 1):
+        if modulus % g == 0 and all((r + g) % modulus in rset for r in rset):
+            return g, tuple(sorted({r % g for r in rset}))
+    raise AssertionError("unreachable: the modulus itself always folds")
+
+
 def oracle_member_sequence(modulus: int, residues: Iterable[int], lo: int, hi: int) -> list[int]:
     rset = set(residues)
     return [1 if n % modulus in rset else 0 for n in range(lo, hi + 1)]

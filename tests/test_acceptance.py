@@ -86,7 +86,8 @@ def test_criterion_2_produced_periods_respect_the_bound():
                     produced += 1
                     gap = build_context(form, sets, t).gap
                     assert result.periodic_set.modulus <= 2**gap, (elements, v, t)
-                    cert = check_t_complementing(form, sets, result.periodic_set, t)
+                    image = image_repfn(form.base, sets)
+                    cert = check_t_complementing(form, image, result.periodic_set, t)
                     assert cert.verdict is True, (elements, v, t)
                     assert cert.first_violation is None
     elapsed = time.perf_counter() - started
@@ -156,7 +157,7 @@ def test_criterion_5_classical_complements_found_quickly():
         assert result.found, elements
         assert result.periodic_set.modulus == period, elements
         assert len(result.periodic_set.residues) == residue_count, elements
-        assert check_t_complementing(form, sets, result.periodic_set, 1).verdict
+        assert check_t_complementing(form, image_repfn(form.base, sets), result.periodic_set, 1).verdict
         timings.append(elapsed)
     print(f"criterion 5: PASS (3 classics, worst {max(timings):.3f}s)")
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -189,15 +190,17 @@ class TestGeneratedDocuments:
 
 
 class TestImageBuiltOnce:
-    # Every layer reads the image of (form, sets) from one object built per
-    # command; only a verification of a candidate complement builds its own.
+    # Every layer, verification included, reads the image of (form, sets)
+    # from one object built per command.
     @pytest.mark.parametrize(
         "most,argv",
         [
             (1, ["image", "--input", data("psi.json")]),
             (1, ["solve", "--input", data("pair.json"), "-t", "1", "-N", "50"]),
-            (2, ["stabilize", "--input", data("pair.json"), "-N", "6"]),
+            (1, ["stabilize", "--input", data("pair.json"), "-N", "6"]),
             (1, ["check", "--input", data("pair.json")]),
+            (1, ["period", "--input", data("extend.json"), "--seed", "0:1"]),
+            (1, ["stabilize", "--input", data("degenerate.json")]),
         ],
         ids=lambda v: str(v),
     )
@@ -309,6 +312,21 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["verdict"] is True
+
+    def test_cli_imports_only_the_standard_library(self):
+        # -S keeps site-packages' startup hooks out, so every module loaded
+        # comes from the interpreter or from importing linform.cli
+        src = Path(cli.__file__).parents[1]
+        probe = "import sys, linform.cli; print(*sorted({m.partition('.')[0] for m in sys.modules}))"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split()) - {"__main__", "linform"}
+        assert loaded <= sys.stdlib_module_names, sorted(loaded - sys.stdlib_module_names)
 
     def test_json_output_reparses(self, capsys):
         for golden, expected_code, argv in GOLDEN_RUNS:

@@ -15,7 +15,6 @@ from linform import (
     SetTuple,
     check_condition,
     gen_poly,
-    lambda_poly,
     min_shift,
     modular_repfn,
     product,
@@ -146,21 +145,6 @@ class TestReduceCyclic:
         factors = [substitute_power(gen_poly(a), u) for u, a in zip(form.coeffs, sets.sets)]
         reduced = reduce_cyclic(product(factors), m)
         assert sum(reduced.coeffs) == sets.product_size()
-
-
-class TestLambdaPoly:
-    def test_three(self):
-        assert lambda_poly(3).coeffs == (1, 1, 1)
-
-    def test_one(self):
-        assert lambda_poly(1).coeffs == (1,)
-
-    def test_five(self):
-        assert lambda_poly(5).coeffs == (1, 1, 1, 1, 1)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            lambda_poly(0)
 
 
 class TestCheckCondition:

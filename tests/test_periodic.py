@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,11 +16,12 @@ from linform import (
     augmented_repfn,
     augmented_repfn_finite,
     check_t_complementing,
+    image_repfn,
     stabilize,
 )
 
 from corpus import CORPUS
-from oracles import oracle_augmented_count
+from oracles import oracle_augmented_count, oracle_minimal_period
 
 
 @st.composite
@@ -26,6 +29,15 @@ def periodic_sets(draw, max_modulus: int = 12):
     m = draw(st.integers(min_value=1, max_value=max_modulus))
     residues = draw(st.lists(st.integers(min_value=0, max_value=m - 1), max_size=m, unique=True))
     return PeriodicSet(m, tuple(sorted(residues)))
+
+
+@st.composite
+def inflated_periodic_sets(draw):
+    """A periodic set rewritten modulo a multiple of its modulus, so that it folds."""
+    b = draw(periodic_sets())
+    k = draw(st.integers(min_value=1, max_value=6))
+    residues = tuple(r + j * b.modulus for r in b.residues for j in range(k))
+    return PeriodicSet(b.modulus * k, residues)
 
 
 def shifted(periodic: PeriodicSet, c: int) -> PeriodicSet:
@@ -76,6 +88,16 @@ class TestNormalize:
     def test_empty_set_normalizes_to_modulus_one(self):
         assert PeriodicSet(7, ()).normalize() == PeriodicSet(1, ())
 
+    def test_huge_modulus_tries_only_residue_differences(self):
+        # a walk over the integers up to m = 2^62 would never finish
+        start = time.perf_counter()
+        assert PeriodicSet(2**62, (0, 2**61)).normalize() == PeriodicSet(2**61, (0,))
+        assert time.perf_counter() - start < 0.5
+
+    @given(st.one_of(periodic_sets(max_modulus=40), inflated_periodic_sets()))
+    def test_matches_divisor_walk_oracle(self, b):
+        assert b.normalize() == PeriodicSet(*oracle_minimal_period(b.modulus, b.residues))
+
     @given(periodic_sets())
     def test_idempotent(self, b):
         once = b.normalize()
@@ -101,17 +123,15 @@ class TestNormalize:
 
 class TestCheckTComplementing:
     def test_binary_set_with_evens(self):
-        cert = check_t_complementing(
-            AugmentedForm(LinearForm((1,)), 1), SetTuple(((0, 1),)), PeriodicSet(2, (0,)), 1
-        )
+        image = image_repfn(LinearForm((1,)), SetTuple(((0, 1),)))
+        cert = check_t_complementing(AugmentedForm(LinearForm((1,)), 1), image, PeriodicSet(2, (0,)), 1)
         assert cert.verdict is True
         assert cert.first_violation is None
         assert cert.period_checked == 2
 
     def test_all_integers_doubles(self):
-        cert = check_t_complementing(
-            AugmentedForm(LinearForm((1,)), 1), SetTuple(((0, 1),)), PeriodicSet(1, (0,)), 2
-        )
+        image = image_repfn(LinearForm((1,)), SetTuple(((0, 1),)))
+        cert = check_t_complementing(AugmentedForm(LinearForm((1,)), 1), image, PeriodicSet(1, (0,)), 2)
         assert cert.verdict is True
 
     def test_gap_set_fails(self):
@@ -119,7 +139,7 @@ class TestCheckTComplementing:
         # starts at zero, so the doubled count is the reported witness.
         form = AugmentedForm(LinearForm((1,)), 1)
         sets = SetTuple(((0, 2),))
-        cert = check_t_complementing(form, sets, PeriodicSet(2, (0,)), 1)
+        cert = check_t_complementing(form, image_repfn(form.base, sets), PeriodicSet(2, (0,)), 1)
         assert cert.verdict is False
         assert cert.first_violation is not None
         assert cert.first_violation == (0, 2, 1)
@@ -128,29 +148,27 @@ class TestCheckTComplementing:
     def test_violation_is_least_magnitude_positive_first(self):
         # R(0)=1 passes, both n=1 and n=-1 fail with count 0; the positive
         # candidate is scanned first.
-        cert = check_t_complementing(
-            AugmentedForm(LinearForm((1,)), 2), SetTuple(((0,),)), PeriodicSet(1, (0,)), 1
-        )
+        image = image_repfn(LinearForm((1,)), SetTuple(((0,),)))
+        cert = check_t_complementing(AugmentedForm(LinearForm((1,)), 2), image, PeriodicSet(1, (0,)), 1)
         assert cert.verdict is False
         assert cert.first_violation.n == 1
         assert cert.first_violation.observed == 0
 
     def test_rejects_unnormalized_form(self):
         with pytest.raises(ValueError, match="normalized"):
-            check_t_complementing(
-                AugmentedForm(LinearForm((1,)), -1), SetTuple(((0, 1),)), PeriodicSet(2, (0,)), 1
-            )
+            image = image_repfn(LinearForm((1,)), SetTuple(((0, 1),)))
+            check_t_complementing(AugmentedForm(LinearForm((1,)), -1), image, PeriodicSet(2, (0,)), 1)
 
     def test_corpus_pairs_verify(self, corpus):
         for pair in corpus:
-            cert = check_t_complementing(pair.form(), pair.set_tuple(), pair.periodic(), pair.t)
+            image = image_repfn(pair.form().base, pair.set_tuple())
+            cert = check_t_complementing(pair.form(), image, pair.periodic(), pair.t)
             assert cert.verdict is True, pair.name
 
     def test_corpus_pairs_fail_for_wrong_t(self, corpus):
         for pair in corpus:
-            cert = check_t_complementing(
-                pair.form(), pair.set_tuple(), pair.periodic(), pair.t + 1
-            )
+            image = image_repfn(pair.form().base, pair.set_tuple())
+            cert = check_t_complementing(pair.form(), image, pair.periodic(), pair.t + 1)
             assert cert.verdict is False, pair.name
 
     @given(st.integers(min_value=1, max_value=4))
@@ -161,8 +179,9 @@ class TestCheckTComplementing:
         inflated = PeriodicSet(
             4 * k, tuple(sorted(r + j * 4 for r in base.residues for j in range(k)))
         )
-        assert check_t_complementing(form, sets, base, 1).verdict is True
-        assert check_t_complementing(form, sets, inflated, 1).verdict is True
+        image = image_repfn(form.base, sets)
+        assert check_t_complementing(form, image, base, 1).verdict is True
+        assert check_t_complementing(form, image, inflated, 1).verdict is True
 
     def test_verified_pairs_match_finite_counting(self, corpus):
         # Counting against B clipped to a wide interval must reproduce t on
@@ -183,7 +202,7 @@ class TestCheckTComplementing:
         form = AugmentedForm(LinearForm((1, 2)), 1)
         sets = SetTuple(((0, 1), (0, 1)))
         b = PeriodicSet(4, (0,))
-        assert check_t_complementing(form, sets, b, 1).verdict is True
+        assert check_t_complementing(form, image_repfn(form.base, sets), b, 1).verdict is True
         moved_sets = SetTuple(
             (
                 tuple(x + c0 for x in sets.sets[0]),
@@ -191,14 +210,15 @@ class TestCheckTComplementing:
             )
         )
         moved_b = shifted(b, -(1 * c0 + 2 * c1))
-        assert check_t_complementing(form, moved_sets, moved_b, 1).verdict is True
+        moved_image = image_repfn(form.base, moved_sets)
+        assert check_t_complementing(form, moved_image, moved_b, 1).verdict is True
 
     def test_zero_target_reports_nearest_hit_class_without_scanning(self):
         # P = 2^40 with one class hit, half a period from zero: a scan of n
         # outward from zero would walk 2^39 values before reaching it.
         form = AugmentedForm(LinearForm((1,)), 1)
         b = PeriodicSet(2**40, (2**39,))
-        cert = check_t_complementing(form, SetTuple(((0,),)), b, 0)
+        cert = check_t_complementing(form, image_repfn(form.base, SetTuple(((0,),))), b, 0)
         assert cert.verdict is False
         assert cert.first_violation == (549755813888, 1, 0)
 
@@ -249,7 +269,8 @@ class TestAgainstPlainScan:
         # [-P, P]; the first one in order of |n|, positive first, is the
         # least-magnitude violation.
         u, v, sets = instance
-        cert = check_t_complementing(AugmentedForm(LinearForm(u), v), SetTuple(sets), b, t)
+        image = image_repfn(LinearForm(u), SetTuple(sets))
+        cert = check_t_complementing(AugmentedForm(LinearForm(u), v), image, b, t)
         period = v * b.modulus
         expected = None
         for n in sorted(range(-period, period + 1), key=lambda n: (abs(n), n < 0)):

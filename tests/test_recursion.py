@@ -14,12 +14,11 @@ from linform import (
     LinearForm,
     SetTuple,
     Window,
-    backward_step,
     build_context,
     check_t_complementing,
     detect_period,
     extend,
-    forward_step,
+    image_repfn,
 )
 
 from corpus import CORPUS
@@ -57,7 +56,7 @@ class TestBuildContext:
     def test_binary_set(self):
         ctx = ctx_for((1,), 1, ((0, 1),))
         assert ctx.gap == 1
-        assert ctx.count_min == 1
+        assert ctx.image.count_min == 1
         assert ctx.forward_offsets == ((1, 1),)
         assert ctx.backward_offsets == ((1, 1),)
 
@@ -81,7 +80,7 @@ class TestBuildContext:
         ctx = ctx_for((1, 1), 1, ((0, 1), (0, 1)))
         assert ctx.gap == 2
         assert ctx.forward_offsets == ((1, 2), (2, 1))
-        assert ctx.count_min == 1
+        assert ctx.image.count_min == 1
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
@@ -95,42 +94,42 @@ class TestBuildContext:
 class TestForwardStep:
     def test_alternation_from_one(self):
         ctx = ctx_for((1,), 1, ((0, 1),))
-        assert forward_step(ctx, Window(0, (1,))) == 0
+        assert extend(ctx, Window(0, (1,)), 0, 1).bits[-1] == 0
 
     def test_alternation_from_zero(self):
         ctx = ctx_for((1,), 1, ((0, 1),))
-        assert forward_step(ctx, Window(0, (0,))) == 1
+        assert extend(ctx, Window(0, (0,)), 0, 1).bits[-1] == 1
 
     def test_inconsistent_when_rhs_negative(self):
         ctx = ctx_for((1,), 1, ((0, 1, 2),))
         with pytest.raises(InconsistentWindowError) as err:
-            forward_step(ctx, Window(0, (1, 1)))
+            extend(ctx, Window(0, (1, 1)), 0, 2).bits[-1]
         assert err.value.index == 2
 
     def test_rejects_degenerate_gap(self):
         ctx = ctx_for((1,), 1, ((5,),))
         with pytest.raises(DegenerateGapError):
-            forward_step(ctx, Window(0, (1,)))
+            extend(ctx, Window(0, (1,)), 0, 1).bits[-1]
 
     def test_rejects_short_window(self):
         ctx = ctx_for((1,), 1, ((0, 1, 2),))
         with pytest.raises(ValueError, match="recursion needs 2"):
-            forward_step(ctx, Window(0, (1,)))
+            extend(ctx, Window(0, (1,)), 0, 1).bits[-1]
 
 
 class TestBackwardStep:
     def test_mirror_from_zero(self):
         ctx = ctx_for((1,), 1, ((0, 1),))
-        assert backward_step(ctx, Window(1, (0,))) == 1
+        assert extend(ctx, Window(1, (0,)), 0, 1).bits[0] == 1
 
     def test_mirror_from_one(self):
         ctx = ctx_for((1,), 1, ((0, 1),))
-        assert backward_step(ctx, Window(1, (1,))) == 0
+        assert extend(ctx, Window(1, (1,)), 0, 1).bits[0] == 0
 
     def test_inconsistent_when_rhs_exceeds_count(self):
         ctx = ctx_for((1,), 1, ((0, 1, 2),), t=3)
         with pytest.raises(InconsistentWindowError) as err:
-            backward_step(ctx, Window(0, (0, 0)))
+            extend(ctx, Window(0, (0, 0)), -1, 1).bits[0]
         assert err.value.index == -1
 
 
@@ -218,9 +217,8 @@ class TestDetectPeriod:
         assert report.bound == 4
         assert report.periodic_set.modulus == 4
         assert report.periodic_set.residues == (0, 1)
-        cert = check_t_complementing(
-            AugmentedForm(LinearForm((1,)), 1), SetTuple(((0, 2),)), report.periodic_set, 1
-        )
+        image = image_repfn(LinearForm((1,)), SetTuple(((0, 2),)))
+        cert = check_t_complementing(AugmentedForm(LinearForm((1,)), 1), image, report.periodic_set, 1)
         assert cert.verdict is True
 
     def test_detection_alone_is_not_sufficient(self):
@@ -232,7 +230,7 @@ class TestDetectPeriod:
         report = detect_period(ctx, Window(0, (1,)))
         assert report.periodic_set.modulus == 2
         assert report.periodic_set.residues == (0,)
-        cert = check_t_complementing(form, sets, report.periodic_set, 1)
+        cert = check_t_complementing(form, image_repfn(form.base, sets), report.periodic_set, 1)
         assert cert.verdict is False
         assert cert.first_violation.n == 1
 

@@ -18,6 +18,7 @@ from linform import (
     augmented_repfn_finite,
     candidate_bound,
     check_t_complementing,
+    image_repfn,
     recenter,
     solve_window,
     stabilize,
@@ -257,9 +258,8 @@ class TestStabilize:
             result = stabilize(pair.form(), pair.set_tuple(), pair.t, 6)
             if not result.found:
                 continue
-            cert = check_t_complementing(
-                pair.form(), pair.set_tuple(), result.periodic_set, pair.t
-            )
+            image = image_repfn(pair.form().base, pair.set_tuple())
+            cert = check_t_complementing(pair.form(), image, result.periodic_set, pair.t)
             assert cert.verdict is True, pair.name
             assert result.report.period <= result.report.bound, pair.name
 
