@@ -41,13 +41,25 @@ _FLAGS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser: every command's subparser, or only that of command.
+
+    argparse set-up costs more than a small command's work, so main builds
+    only the subparser of the command it was given. The top-level usage it
+    prints for an error after the command still names every command: with
+    one subparser registered, the metavar spells out the full choice list.
+    It is set only then, because it also replaces "command" in the full
+    parser's own "invalid choice" and "required" errors.
+    """
     parser = argparse.ArgumentParser(
         prog="linform",
         description="Exact representation-function tools for integer linear forms.",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (_, flags) in COMMANDS.items():
+    names = COMMANDS if command is None else (command,)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    subparsers = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        flags = COMMANDS[name][1]
         # with fewer flags per command a prefix such as --max would become
         # unambiguous; exact spellings keep every command's flags a subset
         sub = subparsers.add_parser(name, allow_abbrev=False)
@@ -56,6 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(flag, **_FLAGS[flag])
         sub.add_argument("--format", choices=("json", "tsv"), default="json")
     return parser
+
+
+# Window bits are 0/1, so their bytes translate straight to the characters "0"/"1".
+_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
 class _UsageError(Exception):
@@ -170,7 +186,7 @@ def _cmd_extend(args, problem):
         window = extend(ctx, seed, lo, hi)
     except InconsistentWindowError as exc:
         return _inconsistent(exc, reflected)
-    bits = "".join(str(b) for b in window.bits)
+    bits = bytes(window.bits).translate(_BITS).decode("ascii")
     out = {"verdict": True, "start": window.start, "bits": bits, "reflected": reflected}
     return out, 0, f"extended to [{lo}, {hi}]"
 
@@ -307,8 +323,10 @@ def dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     return dispatch(args)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
@@ -222,6 +223,87 @@ class TestImageBuiltOnce:
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert 1 <= len(calls) <= most
+
+
+class TestParserPerCommand:
+    # argparse set-up costs more than a small command: a call builds only the
+    # subparser of the command it names, and the full parser otherwise
+    @pytest.mark.parametrize(
+        "argv,subparsers",
+        [([name, "--input", data("pair.json")], 1) for name in cli.COMMANDS]
+        + [(["--help"], len(cli.COMMANDS)), ([], len(cli.COMMANDS)), (["chec"], len(cli.COMMANDS))],
+        ids=lambda v: str(v),
+    )
+    def test_subparsers_built(self, monkeypatch, argv, subparsers):
+        original = argparse._SubParsersAction.add_parser
+        calls = []
+
+        def counted(self, name, **kwargs):
+            calls.append(name)
+            return original(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        assert len(calls) == subparsers
+
+
+def transcript(call, argv) -> tuple[object, str, str]:
+    """Exit code (a SystemExit's included), stdout and stderr of call(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def full_parser_main(argv) -> int:
+    return cli.dispatch(cli.build_parser().parse_args(argv))
+
+
+class TestUsageTranscripts:
+    # Building one command's parser must not change a byte of usage, help or
+    # error output. The reference is the full parser of the running Python,
+    # since argparse's wording differs between versions.
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["--help"], ["-h"]]
+        + [[name, "--help"] for name in cli.COMMANDS]
+        + [
+            ["chec", "--input", "f"],
+            ["check", "--input", "f", "--bogus"],
+            ["modrep", "--input", "f", "-m", "3", "-t", "1"],
+            ["check", "--inp", "f"],
+            ["-x", "check"],
+            ["check", "--input", "f", "--format", "xml"],
+            ["check", "--input", "f", "extra"],
+        ],
+        ids=lambda v: str(v),
+    )
+    def test_matches_full_parser(self, argv):
+        assert transcript(main, argv) == transcript(full_parser_main, argv)
+
+    @pytest.mark.parametrize("argv", [[], ["chec"]], ids=lambda v: str(v))
+    def test_full_parser_errors_name_the_command_argument(self, argv):
+        # a metavar on the full parser would replace "command" in these errors
+        code, _, err = transcript(full_parser_main, argv)
+        assert code == 2
+        assert "command" in err.splitlines()[-1]
+
+    def test_module_invocation_reads_sys_argv(self):
+        long, short = (
+            subprocess.run(
+                [sys.executable, "-m", "linform", "check", flag], capture_output=True, text=True
+            )
+            for flag in ("--help", "-h")
+        )
+        assert long.returncode == 0
+        assert long.stdout.startswith("usage: linform check")
+        assert (long.returncode, long.stdout, long.stderr) == (short.returncode, short.stdout, short.stderr)
 
 
 class TestReports:
