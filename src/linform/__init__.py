@@ -39,13 +39,12 @@ from .forms import (
     LinearForm,
     RepFunction,
     SetTuple,
-    augmented_repfn,
     augmented_repfn_finite,
     eval_form,
     image_repfn,
     modular_repfn,
 )
-from .periodic import ComplementCertificate, PeriodicSet, Violation, check_t_complementing
+from .periodic import ComplementCertificate, PeriodicSet, Violation, augmented_repfn, check_t_complementing
 from .problems import ProblemFile, parse_problem, parse_problem_dict, problem_to_dict
 from .recursion import (
     DEFAULT_MAX_GAP,

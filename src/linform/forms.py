@@ -8,13 +8,11 @@ coordinate at a time, by convolving the counts so far with ui*Ai: the
 product of the generating polynomials F_Ai(z^ui), one factor per step.
 The cost follows the sizes of the partial images, not that of the product.
 
-The augmented variants append a term v*y, y ranging over a finite or a
-periodic set B, and count representations n = u1*a1 + ... + uh*ah + v*b
-from the image: the sum of image[n - v*b] over a finite B, one fold of
-the image shifted by v*B modulo v*m for a B of modulus m. A periodic B
-needs v >= 1; a form with v < 0 is normalized by negating every
-coefficient, which reflects the count, R(n) -> R(-n), and callers surface
-that reflection rather than hide it.
+The augmented form appends a term v*y; over a finite set B its count of
+n = u1*a1 + ... + uh*ah + v*b is the sum of image[n - v*b], b in B (a
+periodic B is counted in periodic.py). A form with v < 0 is normalized by
+negating every coefficient, which reflects the count, R(n) -> R(-n), and
+callers surface that reflection rather than hide it.
 
 All arithmetic is checked signed 64-bit: a computation that leaves the
 range raises IntegerOverflowError, never wraps.
@@ -25,12 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .checked import checked_add, checked_mul, checked_neg, checked_sub, ensure_int64
-
-if TYPE_CHECKING:
-    from .periodic import PeriodicSet
 
 
 @dataclass(frozen=True)
@@ -215,20 +210,6 @@ def modular_repfn(form: LinearForm, sets: SetTuple, m: int) -> list[int]:
         raise ValueError("modulus m must be a positive integer")
     folded = image_repfn(form, sets).fold(m)
     return [folded.get(r, 0) for r in range(m)]
-
-
-def augmented_repfn(form: AugmentedForm, sets: SetTuple, periodic: "PeriodicSet", n: int) -> int:
-    """Count representations n = psi(a) + v*b with b in a periodic set.
-
-    Requires a normalized form (v >= 1); normalize first and read counts
-    through the reflection if v was negative.
-    """
-    if not form.is_normalized:
-        raise ValueError("augmented counting requires a normalized form (v >= 1)")
-    ensure_int64(n, "n")
-    period = checked_mul(form.v, periodic.modulus)
-    folded = image_repfn(form.base, sets).fold(period, (form.v * r for r in periodic.residues))
-    return folded.get(n % period, 0)
 
 
 def augmented_repfn_finite(

@@ -13,6 +13,7 @@ by v*B into the classes mod P decides the whole line: the tiling identity
 F_psi(z) * F_B(z^v) = t * (1 + ... + z^(P-1)) mod z^P - 1. The fold keeps
 only the classes that are hit, so no work is sized by P. A failure is
 reported at the violating n of least absolute value, positive first.
+augmented_repfn reads the count at one n from the same fold.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .checked import checked_mul, ensure_int64
-from .forms import AugmentedForm, RepFunction
+from .forms import AugmentedForm, RepFunction, SetTuple, image_repfn
 
 
 @dataclass(frozen=True)
@@ -97,16 +98,30 @@ class ComplementCertificate:
             raise ValueError("verdict must be true exactly when no violation was found")
 
 
+def _shifted_fold(
+    form: AugmentedForm, image: RepFunction, periodic: PeriodicSet
+) -> tuple[int, dict[int, int]]:
+    """P = v*m and the count of psi(a) + v*b, b in B, per class mod P that is hit."""
+    if not form.is_normalized:
+        raise ValueError("a periodic B requires a normalized form (v >= 1)")
+    period = checked_mul(form.v, periodic.modulus)
+    return period, image.fold(period, (form.v * r for r in periodic.residues))
+
+
+def augmented_repfn(form: AugmentedForm, sets: SetTuple, periodic: PeriodicSet, n: int) -> int:
+    """Count n = psi(a) + v*b with b in a periodic set; v >= 1, so normalize first."""
+    ensure_int64(n, "n")
+    period, folded = _shifted_fold(form, image_repfn(form.base, sets), periodic)
+    return folded.get(n % period, 0)
+
+
 def check_t_complementing(
     form: AugmentedForm, image: RepFunction, periodic: PeriodicSet, t: int
 ) -> ComplementCertificate:
     """From psi's image, decide whether every integer is psi(a) + v*b, b in B, exactly t times."""
-    if not form.is_normalized:
-        raise ValueError("verification requires a normalized form (v >= 1)")
     if t < 0:
         raise ValueError("t must be a nonnegative integer")
-    period = checked_mul(form.v, periodic.modulus)
-    folded = image.fold(period, (form.v * r for r in periodic.residues))
+    period, folded = _shifted_fold(form, image, periodic)
     if t == 0:
         # every class that is hit fails; report the one nearest zero
         if not folded:

@@ -11,7 +11,12 @@ solve_window runs a canonical depth-first search over candidate membership:
 candidates ascend, the include branch is tried before the exclude branch,
 a running count above a finite f(n) prunes immediately, and once every
 undecided candidate lies too high to reach a position n, the count at n is
-forced and checked exactly. The candidates listed run from the least to the
+forced and checked exactly. Excluding a candidate prunes as soon as, at a
+position it touches, the included candidates plus every candidate above it
+fall short of a finite f(n) (forward checking); those floors depend only
+on the candidate, so they are computed once and never restored. Pruning
+only drops subtrees without a solution, so the first witness in this order
+is the one found. The candidates listed run from the least to the
 greatest b for which some image value lands inside the window; those beyond
 either end are excluded outright. A candidate between them whose shifted
 image misses the window is still branched on, include first, so a witness
@@ -164,11 +169,36 @@ def solve_window(problem: WindowProblem, max_nodes: int = DEFAULT_NODE_BUDGET) -
 
     candidates = list(range(contrib_lo, contrib_hi + 1))
     last = len(candidates)
+    if candidates:
+        # every shifted value g + v*b lies between these two sums, so checking
+        # them checks all
+        checked_add(g_min, checked_mul(v, contrib_lo))
+        checked_add(g_max, checked_mul(v, contrib_hi))
+    # Once candidate b is excluded, a position n = g + v*b that it touches can
+    # still gain only from the candidates above b, which reach n through the
+    # image values under g in g's class mod v: below[g] in all. So the count
+    # from the candidates under b must be at least f(n) - below[g] there, and
+    # only the values with below[g] under the largest finite f(n) can bind.
+    top = max((need for need in required if need is not None), default=0)
+    below: dict[int, int] = {}  # per class mod v, the count of the values so far
+    low = []  # (g, below[g]) for the values that can bind
+    for value, mult in support:
+        k = below.get(value % v, 0)
+        if k < top:
+            low.append((value, k))
+        below[value % v] = k + mult
     contributions: list[list[tuple[int, int]]] = []  # (position + N, multiplicity) per candidate
+    floors: list[list[tuple[int, int]]] = []  # (position + N, least count if excluded) per candidate
     for b in candidates:
-        vb = checked_mul(v, b)
-        shifted = ((checked_add(value, vb), mult) for value, mult in support)
-        contributions.append([(n + N, mult) for n, mult in shifted if -N <= n <= N])
+        start, stop = -N - v * b, N - v * b  # the values that land in the window
+        contributions.append([(value - start, mult) for value, mult in support if start <= value <= stop])
+        floors.append(
+            [
+                (value - start, required[value - start] - k)
+                for value, k in low
+                if start <= value <= stop and (required[value - start] or 0) > k
+            ]
+        )
     # positions up to thresholds[i] are final once candidate i is decided
     thresholds = [g_min + v * b + v - 1 for b in candidates[:-1]] + [N]
 
@@ -209,9 +239,13 @@ def solve_window(problem: WindowProblem, max_nodes: int = DEFAULT_NODE_BUDGET) -
             while chosen and chosen[-1] >= i:  # leave the include subtrees below i
                 for index, mult in contributions[chosen.pop()]:
                     counts[index] -= mult
-            after = advance(frontier, thresholds[i])
-            if after is not None:
-                branches.append((i + 1, after, True))
+            for index, floor in floors[i]:
+                if counts[index] < floor:
+                    break
+            else:
+                after = advance(frontier, thresholds[i])
+                if after is not None:
+                    branches.append((i + 1, after, True))
     else:
         return SolveResult(SolveStatus.UNSAT, None, nodes)
 

@@ -124,3 +124,83 @@ def oracle_minimal_period(modulus: int, residues: Iterable[int]) -> tuple[int, t
 def oracle_member_sequence(modulus: int, residues: Iterable[int], lo: int, hi: int) -> list[int]:
     rset = set(residues)
     return [1 if n % modulus in rset else 0 for n in range(lo, hi + 1)]
+
+
+def oracle_window_dfs(
+    u,
+    v: int,
+    sets,
+    required: Callable[[int], int | None],
+    radius: int,
+    max_nodes: int,
+) -> tuple[str, tuple[int, ...] | None, int]:
+    """The window search without floors: (status, witness, nodes) for v >= 1.
+
+    The same canonical DFS as the library (ascending candidates, include
+    first, overcount and final-count pruning), but with no reachability
+    pruning, so it decides the same instances with the same first witness
+    over a tree at least as large.
+    """
+    image = oracle_image_counts(u, sets)
+    support = sorted(image.items())
+    g_min, g_max = support[0][0], support[-1][0]
+    candidate_hi = (radius + max(-g_min, g_max)) // v
+    contrib_lo = max(-candidate_hi, -((radius + g_max) // v))
+    contrib_hi = min(candidate_hi, (radius - g_min) // v)
+    needs = [required(n) for n in range(-radius, radius + 1)]
+    counts = [0] * (2 * radius + 1)
+
+    def advance(frontier: int, limit: int) -> int | None:
+        stop = min(limit, radius)
+        while frontier < stop:
+            frontier += 1
+            need = needs[frontier + radius]
+            if need is not None and counts[frontier + radius] != need:
+                return None
+        return frontier
+
+    candidates = list(range(contrib_lo, contrib_hi + 1))
+    last = len(candidates)
+    contributions = [
+        [(value + v * b + radius, mult) for value, mult in support if -radius <= value + v * b <= radius]
+        for b in candidates
+    ]
+    thresholds = [g_min + v * b + v - 1 for b in candidates[:-1]] + [radius]
+
+    chosen: list[int] = []
+    branches = [(0, -radius - 1, True)]
+    nodes = 0
+    while branches:
+        i, frontier, include = branches.pop()
+        if i == last:
+            if advance(frontier, radius) is not None:
+                return "solved", tuple(candidates[k] for k in chosen), nodes
+            continue
+        nodes += 1
+        if nodes > max_nodes:
+            return "resource_limit", None, nodes
+        if include:
+            branches.append((i, frontier, False))
+            placed = 0
+            for index, mult in contributions[i]:
+                counts[index] += mult
+                placed += 1
+                need = needs[index]
+                if need is not None and counts[index] > need:
+                    break
+            else:
+                after = advance(frontier, thresholds[i])
+                if after is not None:
+                    chosen.append(i)
+                    branches.append((i + 1, after, True))
+                    continue
+            for index, mult in contributions[i][:placed]:
+                counts[index] -= mult
+        else:
+            while chosen and chosen[-1] >= i:
+                for index, mult in contributions[chosen.pop()]:
+                    counts[index] -= mult
+            after = advance(frontier, thresholds[i])
+            if after is not None:
+                branches.append((i + 1, after, True))
+    return "unsat", None, nodes

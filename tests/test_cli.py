@@ -109,6 +109,17 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["status"] == "resource_limit"
 
+    def test_wide_gap_proves_unsat_within_budget(self, capsys, tmp_path):
+        # A = {-10, 10} at N = 1 puts 19 idle candidates between the two that
+        # reach the window; without floors the proof took 4,194,302 nodes.
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"u": [1], "v": 1, "A": [[-10, 10]], "t": 3}))
+        code, out, _ = run(
+            capsys, "solve", "--input", str(path), "-N", "1", "--max-nodes", "1000000"
+        )
+        assert code == 1
+        assert json.loads(out)["status"] == "unsat"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from linform import (
     AugmentedForm,
+    IntegerOverflowError,
     LinearForm,
     PeriodicSet,
     SetTuple,
@@ -25,7 +27,7 @@ from linform import (
 )
 
 from corpus import CORPUS
-from oracles import oracle_window_satisfiable
+from oracles import oracle_window_dfs, oracle_window_satisfiable
 
 
 def window_problem(u, v, sets, N, target):
@@ -117,6 +119,12 @@ class TestSolveWindow:
         with pytest.raises(ValueError, match="no target"):
             solve_window(skeleton)
 
+    def test_shifted_value_overflow_is_rejected(self):
+        # v*b and the image fit signed 64-bit, but 2**62 - 1 + v at b = 1 does not
+        problem = window_problem((1,), 2**62 + 1, ((-(2**62), 2**62 - 1),), 1, TargetFunction.constant(1))
+        with pytest.raises(IntegerOverflowError, match=r"^4611686018427387903 \+ 4611686018427387905 "):
+            solve_window(problem)
+
     def test_no_reachable_candidates_unsat(self):
         # v=2 with psi(A)={1}: every representation is odd, so requiring one
         # representation of 0 is hopeless before any branching happens.
@@ -196,6 +204,36 @@ class TestSolveWindow:
                     seen_unsat = True
                 else:
                     assert not seen_unsat, statuses
+
+
+class TestFloorPrune:
+    """Floors against the same search without them: one answer, never a larger tree."""
+
+    BUDGET = 20_000
+
+    @staticmethod
+    def random_instance(rng):
+        h = rng.randint(1, 2)
+        u = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(h))
+        sets = tuple(tuple(rng.sample(range(-4, 5), rng.randint(1, 3))) for _ in range(h))
+        v, radius = rng.randint(1, 3), rng.randint(0, 3)
+        if rng.random() < 0.5:
+            return u, v, sets, radius, TargetFunction.constant(rng.randint(0, 3))
+        overrides = {rng.randint(-radius, radius): rng.randint(0, 3) for _ in range(rng.randint(1, 3))}
+        return u, v, sets, radius, TargetFunction(rng.choice((None, 0, 1, 2)), overrides)
+
+    def test_matches_search_without_floors(self):
+        rng = random.Random(8)
+        smaller = 0
+        for _ in range(2000):
+            instance = u, v, sets, radius, target = self.random_instance(rng)
+            result = solve_window(window_problem(u, v, sets, radius, target), max_nodes=self.BUDGET)
+            status, witness, nodes = oracle_window_dfs(u, v, sets, target.at, radius, self.BUDGET)
+            assert result.nodes_explored <= nodes, instance
+            if status != "resource_limit":  # floors may decide what the budget cut short
+                assert (result.status.value, result.witness) == (status, witness), instance
+            smaller += result.nodes_explored < nodes
+        assert smaller >= 300
 
 
 class TestRecenter:
