@@ -20,7 +20,6 @@ range raises IntegerOverflowError, never wraps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -100,9 +99,6 @@ class SetTuple:
 
     def __len__(self) -> int:
         return len(self.sets)
-
-    def product_size(self) -> int:
-        return math.prod(len(s) for s in self.sets)
 
 
 @dataclass(frozen=True)

@@ -74,10 +74,6 @@ class PeriodicSet:
     def to_dict(self) -> dict:
         return {"modulus": self.modulus, "residues": list(self.residues)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> PeriodicSet:
-        return cls(data["modulus"], tuple(data["residues"]))
-
 
 class Violation(NamedTuple):
     n: int

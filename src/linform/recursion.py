@@ -20,6 +20,12 @@ orbit revisits a state within 2^gap + 1 steps. That repeat distance bounds
 the period: any complement membership sequence is purely periodic with
 period at most 2^gap.
 
+Extension uses the same fact: once the gap bits a step reads repeat, every
+later bit repeats. It looks for the repeat with Brent's cycle finding and
+then copies the last lam bits over the rest of the range, so extending
+costs O(mu + lam) steps, mu before the cycle and lam around it, plus the
+output, and the same bits and error index as stepping every bit.
+
 Extension alone is not verification. The two identities only express that
 the count equals t along the residues g_min and g_max mod v; for v > 1 the
 remaining residues are unconstrained, so every candidate produced here must
@@ -33,11 +39,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateGapError, GapTooLargeError, InconsistentWindowError
+from .errors import DegenerateGapError, GapTooLargeError, InconsistentWindowError, LinformError
 from .forms import AugmentedForm, RepFunction, SetTuple, image_repfn
 from .periodic import PeriodicSet
 
 DEFAULT_MAX_GAP = 24
+# Most bits one extension may cover: its list and window hold one entry per bit.
+MAX_EXTEND_BITS = 10_000_000
+# Bits stepped between two looks for a repeated state, unless gap is more.
+# A look has a fixed cost of a few dozen steps, hence the least run; the
+# most bounds the bytes that one look builds.
+_LEAST_RUN, _MOST_RUN = 64, 1 << 14
 
 
 @dataclass(frozen=True)
@@ -134,6 +146,13 @@ def _check_seed(ctx: RecursionContext, seed: Window, max_gap: int | None = None)
         raise ValueError(f"seed holds {len(seed.bits)} bits, recursion needs {ctx.gap}")
 
 
+def _window(bits: list[int], at: int, size: int, forward: bool) -> bytes:
+    """The size bits from index at on, in stepping order."""
+    if forward:
+        return bytes(bits[at : at + size])
+    return bytes(bits[at - size + 1 : at + 1])[::-1]
+
+
 def _fill(ctx: RecursionContext, bits: list[int], base: int, lo: int, hi: int, forward: bool) -> None:
     """Set bits[n - base] for lo <= n <= hi from one step identity.
 
@@ -141,30 +160,70 @@ def _fill(ctx: RecursionContext, bits: list[int], base: int, lo: int, hi: int, f
     backward (g_max) identity reads bits above n and runs downward. Either
     way every bit read is already known, so errors fire at the first
     index, in stepping order, where no bit fits.
+
+    A step reads only the gap bits before it, so once that state repeats,
+    every later bit repeats the lam bits stepped since. Brent's cycle
+    finding (BIT 20, 1980) keeps one past state, the tortoise, and compares
+    the states after it with it, up to a distance that doubles each time
+    the tortoise moves; each run of steps is compared at once, as bytes, by
+    one substring search. On the first repeat the rest of the range is
+    tiled. Both compared states preceded a step that succeeded, so no later
+    step could fail: the bits and any error index are those of stepping on.
     """
     if forward:
-        offsets, count, sign = ctx.forward_offsets, ctx.image.count_min, -1
+        offsets, count, d = ctx.forward_offsets, ctx.image.count_min, 1
         order = range(lo - base, hi - base + 1)
     else:
-        offsets, count, sign = ctx.backward_offsets, ctx.image.count_max, 1
+        offsets, count, d = ctx.backward_offsets, ctx.image.count_max, -1
         order = range(hi - base, lo - base - 1, -1)
-    t = ctx.t
+    t, gap = ctx.t, ctx.gap
+    # The tortoise is the state before bit p; lam of the states after it
+    # have been compared with it, and the next look comes after bit look.
+    # A look costs O(gap + run), so runs and distances start at gap or more.
+    p, power, lam = order.start, gap if gap > _LEAST_RUN else _LEAST_RUN, 0
+    look = p + d * (power - 1)
     for i in order:
         rhs = t
         for offset, mult in offsets:
-            rhs -= mult * bits[i + sign * offset]
+            rhs -= mult * bits[i - d * offset]
         bits[i] = _as_bit(rhs, count, base + i)
+        if i == look:
+            run = d * (i - p) + 1 - lam
+            tortoise = _window(bits, p - d * gap, gap, forward)
+            found = _window(bits, p + d * (lam + 1 - gap), run + gap - 1, forward).find(tortoise)
+            if found >= 0:
+                lam += found + 1
+                break
+            lam += run
+            if lam == power:
+                p, power, lam = i + d, 2 * power, 0
+            look = i + d * min(power - lam, max(gap, _MOST_RUN))
+    else:
+        return
+    # Every bit from j on, in stepping order, equals the bit lam before it.
+    j = p + d * lam
+    rest = d * (order[-1] - j) + 1
+    if forward:
+        block = bits[j - lam : j]
+        bits[j : j + rest] = (block * (rest // lam + 1))[:rest]
+    else:
+        block = bits[j + 1 : j + 1 + lam]
+        skip = -rest % lam
+        bits[j - rest + 1 : j + 1] = (block * (rest // lam + 2))[skip : skip + rest]
 
 
 def extend(ctx: RecursionContext, seed: Window, lo: int, hi: int) -> Window:
     """Deterministically extend the seed to cover [lo, hi].
 
-    [lo, hi] must contain the seed range. Raises InconsistentWindowError at
-    the first index where no bit satisfies the relevant identity.
+    [lo, hi] must contain the seed range and hold at most MAX_EXTEND_BITS
+    bits (LinformError otherwise). Raises InconsistentWindowError at the
+    first index where no bit satisfies the relevant identity.
     """
     _check_seed(ctx, seed)
     if lo > seed.start or hi < seed.end:
         raise ValueError("[lo, hi] must contain the seed range")
+    if hi - lo + 1 > MAX_EXTEND_BITS:
+        raise LinformError(f"[{lo}, {hi}] holds {hi - lo + 1} bits, above the limit of {MAX_EXTEND_BITS}")
     bits = [0] * (seed.start - lo) + list(seed.bits) + [0] * (hi - seed.end)
     _fill(ctx, bits, lo, seed.end + 1, hi, forward=True)
     _fill(ctx, bits, lo, lo, seed.start - 1, forward=False)
@@ -190,24 +249,37 @@ def detect_period(
 
     # Encode the state at j, the bits of [j, j + gap), as an integer with
     # bit i of the integer holding the membership bit of j + i. Bits are
-    # stepped one at a time: a bit past the repeat is never computed, so
-    # it can never raise.
+    # stepped ahead in doubling batches, with the outcome of stepping one at
+    # a time: a step that failed raises only once the scan needs its bit,
+    # and the bits past the repeat are dropped, since the repeated state may
+    # precede a seed bit that they need not follow.
     state = 0
     for i in range(gap):
         state |= bits[i] << i
     seen = {state: 0}
     j = 0  # the state's start, relative to base
+    # A step that failed ahead of the scan, kept without its traceback and
+    # popped to be raised, so that no reference cycle holds this frame.
+    failed: list[InconsistentWindowError] = []
     while True:
         needed = j + gap  # rolling to the state at j + 1 consumes this bit
         if needed == len(bits):
-            bits.append(0)
-            _fill(ctx, bits, base, base + needed, base + needed, forward=True)
+            if failed:
+                raise failed.pop()
+            bits.extend([0] * needed)
+            try:
+                _fill(ctx, bits, base, base + needed, base + len(bits) - 1, forward=True)
+            except InconsistentWindowError as exc:
+                failed.append(exc.with_traceback(None))
+                del bits[exc.index - base :]
+            continue
         state = (state >> 1) | (bits[needed] << (gap - 1))
         j += 1
         if state in seen:
             break
         seen[state] = j
     period_len = j - seen[state]
+    del bits[max(j + gap, len(seed.bits)) :]
 
     base -= period_len
     bits[:0] = [0] * period_len

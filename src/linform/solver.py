@@ -36,12 +36,18 @@ import enum
 from dataclasses import dataclass, replace
 
 from .checked import checked_add, checked_mul, checked_sub
-from .errors import InconsistentWindowError
+from .errors import InconsistentWindowError, LinformError
 from .forms import AugmentedForm, RepFunction, SetTuple, image_repfn
 from .periodic import PeriodicSet, check_t_complementing
 from .recursion import DEFAULT_MAX_GAP, PeriodReport, Window, build_context, detect_period
 
 DEFAULT_NODE_BUDGET = 10_000_000
+# What one window search may allocate: the radius N sizes two lists of
+# 2N + 1 counts, and the candidate span one list entry per candidate. Both
+# are far above the radii in use (hundreds) and far below what exhausts
+# memory.
+MAX_RADIUS = 1_000_000
+MAX_CANDIDATE_SPAN = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -146,6 +152,8 @@ def solve_window(problem: WindowProblem, max_nodes: int = DEFAULT_NODE_BUDGET) -
     if max_nodes < 1:
         raise ValueError("node budget must be positive")
     form, target, N, image = problem.form, problem.target, problem.N, problem.image
+    if N > MAX_RADIUS:
+        raise LinformError(f"window radius N = {N} exceeds the limit {MAX_RADIUS}")
     v, g_min, g_max = form.v, image.g_min, image.g_max
     support = image.support()
 
@@ -153,6 +161,10 @@ def solve_window(problem: WindowProblem, max_nodes: int = DEFAULT_NODE_BUDGET) -
     # the rest of the candidate interval is canonically excluded.
     contrib_lo = max(problem.candidate_lo, -((N + g_max) // v))
     contrib_hi = min(problem.candidate_hi, (N - g_min) // v)
+    if contrib_hi - contrib_lo > MAX_CANDIDATE_SPAN:
+        raise LinformError(
+            f"candidate span {contrib_hi - contrib_lo} exceeds the limit {MAX_CANDIDATE_SPAN}"
+        )
 
     required = [target.at(n) for n in range(-N, N + 1)]
     counts = [0] * (2 * N + 1)

@@ -126,6 +126,43 @@ def oracle_member_sequence(modulus: int, residues: Iterable[int], lo: int, hi: i
     return [1 if n % modulus in rset else 0 for n in range(lo, hi + 1)]
 
 
+def oracle_extend(
+    u: Sequence[int],
+    v: int,
+    sets: Sequence[Sequence[int]],
+    t: int,
+    start: int,
+    bits: Sequence[int],
+    lo: int,
+    hi: int,
+) -> tuple[str, tuple[int, ...] | int]:
+    """Forced extension of a seed window, one bit at a time, for v >= 1.
+
+    The augmented count at v*n + g_min can only gain from members in
+    [n - gap, n], so once the bits below n are known it fixes bit(n);
+    v*n + g_max fixes it from the bits above. Steps upward to hi, then
+    downward to lo, and returns ("bits", bits of [lo, hi]) or
+    ("inconsistent", n) at the first n where no bit fits.
+    """
+    image = oracle_image_counts(u, sets)
+    g_min, g_max = min(image), max(image)
+    gap = (g_max - g_min) // v
+    known = {start + i: bit for i, bit in enumerate(bits)}
+    end = start + len(bits) - 1
+    steps = [(n, g_min, range(n - gap, n)) for n in range(end + 1, hi + 1)]
+    steps += [(n, g_max, range(n + 1, n + gap + 1)) for n in range(start - 1, lo - 1, -1)]
+    for n, anchor, near in steps:
+        x = v * n + anchor
+        rest = sum(image.get(x - v * b, 0) for b in near if known[b])
+        if rest == t:
+            known[n] = 0
+        elif rest + image[anchor] == t:
+            known[n] = 1
+        else:
+            return "inconsistent", n
+    return "bits", tuple(known[n] for n in range(lo, hi + 1))
+
+
 def oracle_window_dfs(
     u,
     v: int,

@@ -121,6 +121,25 @@ class TestExitCodes:
         assert json.loads(out)["status"] == "unsat"
 
     @pytest.mark.parametrize(
+        "document,argv",
+        [
+            ({"u": [1], "v": 1, "A": [[-(2**61), 2**61]], "t": 1}, ["solve", "-N", "1"]),
+            ({"u": [1], "v": 2**63 - 1, "A": [[0, 1]], "t": 1}, ["solve", "-N", str(2**62)]),
+            (
+                {"u": [1], "v": 1, "A": [[0, 1]], "t": 1},
+                ["extend", "--seed", "0:1", "--from", "-1", "--to", str(10**12)],
+            ),
+        ],
+    )
+    def test_budget_refusals_exit_2(self, capsys, tmp_path, document, argv):
+        # each used to end in MemoryError, or allocate until killed
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, argv[0], "--input", str(path), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "limit" in err and "internal error" not in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["modrep", "--input", data("psi.json"), "-m", "4", "--seed", "0:1"],

@@ -20,6 +20,8 @@ from linform import (
     stabilize,
 )
 
+from linform.problems import parse_problem_dict
+
 from corpus import CORPUS
 from oracles import oracle_augmented_count, oracle_minimal_period
 
@@ -72,7 +74,7 @@ class TestPeriodicSet:
 
     def test_dict_round_trip(self):
         b = PeriodicSet(6, (1, 4))
-        assert PeriodicSet.from_dict(b.to_dict()) == b
+        assert parse_problem_dict({"u": [1], "A": [[0, 1]], "B": b.to_dict()}).periodic == b
 
 
 class TestNormalize:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from linform import (
     GapTooLargeError,
     InconsistentWindowError,
     LinearForm,
+    LinformError,
     SetTuple,
     Window,
     build_context,
@@ -19,9 +23,11 @@ from linform import (
     detect_period,
     extend,
     image_repfn,
+    recursion,
 )
 
 from corpus import CORPUS
+from oracles import oracle_extend, oracle_member_sequence
 
 
 def ctx_for(u, v, sets, t=1):
@@ -190,6 +196,97 @@ class TestExtend:
             recovered = extend(ctx, tail, seed.start, ahead.end)
             assert recovered.bits == ahead.bits, pair.name
 
+    def test_range_budget_refused_before_allocating(self):
+        ctx = ctx_for((1,), 1, ((0, 1),))
+        tracemalloc.start()
+        try:
+            with pytest.raises(LinformError, match=f"above the limit of {recursion.MAX_EXTEND_BITS}"):
+                extend(ctx, Window(0, (1,)), -1, 10**12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_range_budget_counts_bits(self, monkeypatch):
+        monkeypatch.setattr(recursion, "MAX_EXTEND_BITS", 10)
+        ctx = ctx_for((1,), 1, ((0, 1),))
+        assert len(extend(ctx, Window(0, (1,)), -4, 5).bits) == 10
+        with pytest.raises(LinformError, match="holds 11 bits"):
+            extend(ctx, Window(0, (1,)), -5, 5)
+
+
+def outcome(u, v, sets, t, start, bits, lo, hi):
+    """extend's answer in oracle_extend's shape."""
+    try:
+        return "bits", extend(ctx_for(u, v, sets, t), Window(start, bits), lo, hi).bits
+    except InconsistentWindowError as exc:
+        return "inconsistent", exc.index
+
+
+class TestExtendAgainstOracle:
+    """extend, which tiles once the gap-bit state repeats, against stepping every bit."""
+
+    def test_seeded_random_instances(self):
+        rng = random.Random(20260)
+        seen = {"inconsistent": 0, "bits": 0, "v > 1": 0, "long": 0}
+        for _ in range(1500):
+            h = rng.randint(1, 2)
+            u = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(h))
+            v = rng.randint(1, 3)
+            sets = tuple(tuple(sorted(rng.sample(range(-6, 7), rng.randint(1, 4)))) for _ in range(h))
+            t = rng.randint(0, 3)
+            gap = ctx_for(u, v, sets, t).gap
+            if not 1 <= gap <= 12:
+                continue
+            length = gap + rng.randint(0, 4)
+            # half the seeds repeat a short block, so that many extend far
+            period = rng.randint(1, 6)
+            block = [rng.randint(0, 1) for _ in range(period if rng.random() < 0.5 else length)]
+            bits = tuple(block[i % len(block)] for i in range(length))
+            start = rng.randint(-20, 20)
+            lo = start - rng.choice((0, 1, 70, 300, 2000))
+            hi = start + length - 1 + rng.choice((0, 1, 70, 300, 2000))
+            expected = oracle_extend(u, v, sets, t, start, bits, lo, hi)
+            assert outcome(u, v, sets, t, start, bits, lo, hi) == expected, (u, v, sets, t, bits)
+            seen[expected[0]] += 1
+            if expected[0] == "bits":
+                seen["v > 1"] += v > 1
+                seen["long"] += hi - lo > 1000
+        assert seen["inconsistent"] >= 300 and seen["bits"] >= 200
+        assert seen["v > 1"] >= 100 and seen["long"] >= 50
+
+    def test_orbit_only_eventually_periodic(self):
+        # v = 2 and A = {0, 2, 11}: bit(n) = 1 - bit(n - 1) forward, so the
+        # oldest seed bits are never read again and the seed state is off
+        # the cycle that the bits settle into.
+        u, v, sets, seed = (1,), 2, ((0, 2, 11),), (0, 0, 0, 0, 0)
+        expected = oracle_extend(u, v, sets, 1, 0, seed, -500, 3000)
+        assert outcome(u, v, sets, 1, 0, seed, -500, 3000) == expected
+        forward = bytes(expected[1][500:])
+        assert forward.find(bytes(seed), 1) == -1
+
+    def test_range_far_longer_than_the_period(self, corpus):
+        for pair in corpus:
+            seed = pair.true_window(3, max(build_context(pair.form(), pair.set_tuple(), pair.t).gap, 1))
+            args = (pair.u, pair.v, pair.sets, pair.t, seed.start, seed.bits, -5000, 5000)
+            assert outcome(*args) == oracle_extend(*args), pair.name
+
+    def test_gap_too_large_for_a_repeat_in_range(self):
+        # A = {0, 100} is complemented by 100 ones then 100 zeros, period
+        # 200: no gap-bit state repeats within 150 bits of the seed.
+        seed = (1,) * 100
+        args = ((1,), 1, ((0, 100),), 1, 0, seed, -150, 249)
+        expected = oracle_extend(*args)
+        assert list(expected[1]) == oracle_member_sequence(200, range(100), -150, 249)
+        assert outcome(*args) == expected
+
+    def test_million_bits_of_a_classic_complement(self):
+        # {0, 1, 4, 5} is complemented by the residues {0, 2} mod 8
+        ctx = ctx_for((1,), 1, ((0, 1, 4, 5),))
+        seed = Window(0, tuple(oracle_member_sequence(8, (0, 2), 0, ctx.gap - 1)))
+        got = extend(ctx, seed, -(10**6), 10**6)
+        assert list(got.bits) == oracle_member_sequence(8, (0, 2), -(10**6), 10**6)
+
 
 class TestDetectPeriod:
     def test_alternation(self):
@@ -268,6 +365,30 @@ class TestDetectPeriod:
             assert 1 <= report.period <= report.bound == 2**ctx.gap, pair.name
             b = pair.periodic().normalize()
             assert report.periodic_set == b, pair.name
+
+    def test_failed_step_reported_at_its_index(self):
+        # chi(n) = 1 - chi(n-1) - chi(n-2) has no bit after the seed (1, 1)
+        ctx = ctx_for((1,), 1, ((0, 1, 2),))
+        with pytest.raises(InconsistentWindowError) as err:
+            detect_period(ctx, Window(5, (1, 1)))
+        assert err.value.index == 7
+
+    def test_failed_step_past_the_repeat_is_not_reported(self):
+        # Stepping ahead meets a dead end at 7, but the states repeat before
+        # the scan needs that bit; the purity check then fails at -1.
+        ctx = ctx_for((1,), 1, ((0, 1, 3),), t=2)
+        with pytest.raises(InconsistentWindowError) as err:
+            detect_period(ctx, Window(0, (1, 0, 0, 1, 0, 1)))
+        assert err.value.index == -1
+
+    def test_bits_past_the_repeat_are_not_checked(self):
+        # The repeat is with the state before the seed bit 0 at index 1;
+        # the bit stepped from the repeated state (1 at index 3) differs
+        # from it, but lies past the repeat, where no check reaches.
+        ctx = ctx_for((1,), 2, ((1, 2, 4),))
+        report = detect_period(ctx, Window(0, (1, 0)))
+        assert report.period == 2
+        assert report.periodic_set.residues == (0,)
 
     @given(st.integers(min_value=-8, max_value=8))
     def test_seed_position_does_not_change_the_set(self, start):

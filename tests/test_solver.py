@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -13,6 +14,7 @@ from linform import (
     AugmentedForm,
     IntegerOverflowError,
     LinearForm,
+    LinformError,
     PeriodicSet,
     SetTuple,
     SolveStatus,
@@ -25,6 +27,8 @@ from linform import (
     solve_window,
     stabilize,
 )
+
+from linform.solver import MAX_CANDIDATE_SPAN, MAX_RADIUS
 
 from corpus import CORPUS
 from oracles import oracle_window_dfs, oracle_window_satisfiable
@@ -124,6 +128,27 @@ class TestSolveWindow:
         problem = window_problem((1,), 2**62 + 1, ((-(2**62), 2**62 - 1),), 1, TargetFunction.constant(1))
         with pytest.raises(IntegerOverflowError, match=r"^4611686018427387903 \+ 4611686018427387905 "):
             solve_window(problem)
+
+    @pytest.mark.parametrize(
+        "v,sets,N,limit",
+        [
+            # the radius sizes the count lists: 2N + 1 entries each
+            (2**63 - 1, ((0, 1),), 2**62, f"radius N = {2**62} exceeds the limit {MAX_RADIUS}"),
+            (1, ((0, 1),), MAX_RADIUS + 1, f"exceeds the limit {MAX_RADIUS}"),
+            # the candidate list: one entry per b between the two ends
+            (1, ((-(2**61), 2**61),), 1, f"span {2**62 + 2} exceeds the limit {MAX_CANDIDATE_SPAN}"),
+        ],
+    )
+    def test_budget_refused_before_allocating(self, v, sets, N, limit):
+        problem = window_problem((1,), v, sets, N, TargetFunction.constant(1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(LinformError, match=limit):
+                solve_window(problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_no_reachable_candidates_unsat(self):
         # v=2 with psi(A)={1}: every representation is odd, so requiring one
