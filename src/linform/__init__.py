@@ -15,17 +15,7 @@ u1*x1 + ... + uh*xh + v*y over finite integer sets A1..Ah:
 """
 
 from .checked import INT64_MAX, INT64_MIN, checked_add, checked_mul, checked_neg, checked_sub
-from .cyclotomy import (
-    ConditionReport,
-    CyclicPoly,
-    LaurentPoly,
-    check_condition,
-    gen_poly,
-    min_shift,
-    product,
-    reduce_cyclic,
-    substitute_power,
-)
+from .cyclotomy import ConditionReport, LaurentPoly, check_condition, product
 from .errors import (
     DegenerateGapError,
     GapTooLargeError,
@@ -35,6 +25,7 @@ from .errors import (
     ProblemFormatError,
 )
 from .forms import (
+    MAX_MODULUS,
     AugmentedForm,
     LinearForm,
     RepFunction,
@@ -73,7 +64,6 @@ __all__ = [
     "AugmentedForm",
     "ComplementCertificate",
     "ConditionReport",
-    "CyclicPoly",
     "DEFAULT_MAX_GAP",
     "DEFAULT_NODE_BUDGET",
     "DegenerateGapError",
@@ -85,6 +75,7 @@ __all__ = [
     "LaurentPoly",
     "LinearForm",
     "LinformError",
+    "MAX_MODULUS",
     "PeriodReport",
     "PeriodicSet",
     "ProblemFile",
@@ -113,17 +104,13 @@ __all__ = [
     "detect_period",
     "eval_form",
     "extend",
-    "gen_poly",
     "image_repfn",
-    "min_shift",
     "modular_repfn",
     "parse_problem",
     "parse_problem_dict",
     "problem_to_dict",
     "product",
     "recenter",
-    "reduce_cyclic",
     "solve_window",
     "stabilize",
-    "substitute_power",
 ]

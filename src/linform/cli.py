@@ -138,7 +138,7 @@ def _cmd_cyclotomy(args, problem):
         "m": m,
         "t": t,
         "L": shift,
-        "coefficients": list(reduced.coeffs),
+        "coefficients": list(reduced),
     }
     note = "condition holds" if holds else "condition fails"
     return out, 0 if holds else 1, f"{note} mod {m} at t = {t}"

@@ -16,10 +16,10 @@ which fixes the all-equal vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .checked import checked_add, checked_mul, ensure_int64
-from .forms import LinearForm, SetTuple
+from .forms import LinearForm, SetTuple, check_modulus
 
 
 @dataclass(frozen=True)
@@ -36,46 +36,10 @@ class LaurentPoly:
                 raise ValueError(f"zero coefficient stored at exponent {exponent}")
 
 
-@dataclass(frozen=True)
-class CyclicPoly:
-    """Residue-class coefficient vector: coeffs[r] is the total weight on r mod modulus."""
-
-    modulus: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError("modulus must be a positive integer")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) != self.modulus:
-            raise ValueError("coefficient vector length must equal the modulus")
-
-
 class ConditionReport(NamedTuple):
     holds: bool
     shift: int
-    reduced: CyclicPoly
-
-
-def gen_poly(elements: Iterable[int]) -> LaurentPoly:
-    """Generating polynomial of a finite set: one z^a per element."""
-    terms: dict[int, int] = {}
-    for a in elements:
-        ensure_int64(a, "element")
-        if a in terms:
-            raise ValueError(f"duplicate element {a}")
-        terms[a] = 1
-    if not terms:
-        raise ValueError("a generating polynomial needs at least one element")
-    return LaurentPoly(terms)
-
-
-def substitute_power(poly: LaurentPoly, u: int) -> LaurentPoly:
-    """Substitute z -> z^u for nonzero u, scaling every exponent."""
-    ensure_int64(u, "u")
-    if u == 0:
-        raise ValueError("substitution power must be nonzero")
-    return LaurentPoly({checked_mul(exponent, u): coeff for exponent, coeff in poly.terms.items()})
+    reduced: tuple[int, ...]  # reduced[r]: the coefficient of z^r mod z^m - 1
 
 
 def product(factors: Sequence[LaurentPoly]) -> LaurentPoly:
@@ -97,37 +61,25 @@ def product(factors: Sequence[LaurentPoly]) -> LaurentPoly:
     return LaurentPoly(result)
 
 
-def min_shift(poly: LaurentPoly) -> int:
-    """Least L >= 0 such that z^L * poly has no negative exponents."""
-    if not poly.terms:
-        raise ValueError("the zero polynomial has no canonical shift")
-    low = min(poly.terms)
-    return -low if low < 0 else 0
-
-
-def reduce_cyclic(poly: LaurentPoly, m: int) -> CyclicPoly:
-    """Reduce modulo z^m - 1 by folding exponents into residue classes."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError("modulus m must be a positive integer")
-    coeffs = [0] * m
-    for exponent, coeff in poly.terms.items():
-        index = exponent % m
-        coeffs[index] = checked_add(coeffs[index], coeff)
-    return CyclicPoly(m, tuple(coeffs))
-
-
 def check_condition(form: LinearForm, sets: SetTuple, m: int, t: int) -> ConditionReport:
-    """Test z^L * prod F_Ai(z^ui) == t * (1 + z + ... + z^(m-1)) mod z^m - 1."""
+    """Test z^L * prod F_Ai(z^ui) == t * (1 + z + ... + z^(m-1)) mod z^m - 1.
+
+    Overflow in a shifted exponent is raised before a bad m, and nothing is
+    sized by m before check_modulus has passed it.
+    """
     if len(sets) != form.h:
         raise ValueError(f"form has {form.h} coordinates, got {len(sets)} sets")
     if t < 0:
         raise ValueError("t must be a nonnegative integer")
-    factors = [substitute_power(gen_poly(a), u) for u, a in zip(form.coeffs, sets.sets)]
+    factors = [
+        LaurentPoly({checked_mul(a, u): 1 for a in elements}) for u, elements in zip(form.coeffs, sets.sets)
+    ]
     expanded = product(factors)
-    shift = min_shift(expanded)
-    shifted = LaurentPoly(
-        {checked_add(exponent, shift): coeff for exponent, coeff in expanded.terms.items()}
-    )
-    reduced = reduce_cyclic(shifted, m)
-    target = CyclicPoly(m, tuple(t for _ in range(m)))
-    return ConditionReport(reduced == target, shift, reduced)
+    shift = max(0, -min(expanded.terms))
+    shifted = [(checked_add(exponent, shift), coeff) for exponent, coeff in expanded.terms.items()]
+    check_modulus(m)
+    reduced = [0] * m
+    for exponent, coeff in shifted:
+        r = exponent % m
+        reduced[r] = checked_add(reduced[r], coeff)
+    return ConditionReport(all(c == t for c in reduced), shift, tuple(reduced))

@@ -25,6 +25,10 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .checked import checked_add, checked_mul, checked_neg, checked_sub, ensure_int64
+from .errors import LinformError
+
+# Largest modulus for the dense residue vectors of modular_repfn and check_condition.
+MAX_MODULUS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -200,10 +204,17 @@ def image_repfn(form: LinearForm, sets: SetTuple) -> RepFunction:
     return RepFunction(counts)
 
 
-def modular_repfn(form: LinearForm, sets: SetTuple, m: int) -> list[int]:
-    """Fold the representation function into residue classes mod m."""
+def check_modulus(m: int) -> None:
+    """Refuse a modulus that is not a positive integer or is above MAX_MODULUS."""
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError("modulus m must be a positive integer")
+    if m > MAX_MODULUS:
+        raise LinformError(f"modulus m = {m} exceeds the limit {MAX_MODULUS}")
+
+
+def modular_repfn(form: LinearForm, sets: SetTuple, m: int) -> list[int]:
+    """Fold the representation function into residue classes mod m."""
+    check_modulus(m)
     folded = image_repfn(form, sets).fold(m)
     return [folded.get(r, 0) for r in range(m)]
 

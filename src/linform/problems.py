@@ -32,7 +32,7 @@ class ProblemFile:
 
     form: LinearForm
     domain: SetTuple
-    v: int | None = None
+    augmented: AugmentedForm | None = None  # form with v*y appended, when the file has "v"
     periodic: PeriodicSet | None = None
     t: int | None = None
     target: TargetFunction | None = None
@@ -45,10 +45,14 @@ class ProblemFile:
     def sets(self) -> tuple[tuple[int, ...], ...]:
         return self.domain.sets
 
+    @property
+    def v(self) -> int | None:
+        return None if self.augmented is None else self.augmented.v
+
     def augmented_form(self) -> AugmentedForm:
-        if self.v is None:
+        if self.augmented is None:
             raise ProblemFormatError('this command needs field "v" in the problem file')
-        return AugmentedForm(self.form, self.v)
+        return self.augmented
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -100,9 +104,9 @@ def parse_problem_dict(document) -> ProblemFile:
             raise ProblemFormatError(f"A[{i}] must be a nonempty array of integers")
     sets = _build(SetTuple, tuple(tuple(raw) for raw in raw_sets))
 
-    v = None
+    augmented = None
     if "v" in document:
-        v = _build(AugmentedForm, form, document["v"]).v
+        augmented = _build(AugmentedForm, form, document["v"])
 
     periodic = None
     if "B" in document:
@@ -154,7 +158,7 @@ def parse_problem_dict(document) -> ProblemFile:
             raise ProblemFormatError('f with default "inf" must override at least one value')
         target = _build(TargetFunction, default, overrides)
 
-    return ProblemFile(form, sets, v=v, periodic=periodic, t=t, target=target)
+    return ProblemFile(form, sets, augmented=augmented, periodic=periodic, t=t, target=target)
 
 
 def problem_to_dict(problem: ProblemFile) -> dict:

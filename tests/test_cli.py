@@ -129,6 +129,8 @@ class TestExitCodes:
                 {"u": [1], "v": 1, "A": [[0, 1]], "t": 1},
                 ["extend", "--seed", "0:1", "--from", "-1", "--to", str(10**12)],
             ),
+            ({"u": [1], "A": [[0, 1]]}, ["modrep", "-m", str(10**11)]),
+            ({"u": [1], "A": [[0, 1]]}, ["cyclotomy", "-m", str(10**11), "-t", "1"]),
         ],
     )
     def test_budget_refusals_exit_2(self, capsys, tmp_path, document, argv):

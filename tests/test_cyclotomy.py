@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -10,67 +11,61 @@ from hypothesis import strategies as st
 
 from linform import (
     INT64_MAX,
-    CyclicPoly,
+    MAX_MODULUS,
     IntegerOverflowError,
     LaurentPoly,
     LinearForm,
+    LinformError,
     SetTuple,
     check_condition,
-    gen_poly,
-    min_shift,
     modular_repfn,
     product,
-    reduce_cyclic,
-    substitute_power,
 )
 
 from oracles import oracle_cyclic_product
 from test_forms import form_and_sets
 
-poly_st = st.dictionaries(
-    st.integers(min_value=-8, max_value=8),
-    st.integers(min_value=-5, max_value=5).filter(lambda c: c != 0),
-    max_size=5,
-).map(LaurentPoly)
+
+def reduce_one(u: int, elements: tuple[int, ...], m: int) -> tuple[int, tuple[int, ...]]:
+    """The shift L and reduced vector of z^L * F_A(z^u) mod z^m - 1."""
+    report = check_condition(LinearForm((u,)), SetTuple((elements,)), m, 0)
+    return report.shift, report.reduced
+
+
+class TestLaurentPoly:
+    def test_rejects_zero_coefficient_storage(self):
+        with pytest.raises(ValueError):
+            LaurentPoly({0: 0})
 
 
 class TestGenPoly:
+    """Each set enters as its generating polynomial F_A(z), one z^a per element."""
+
     def test_three_elements(self):
-        assert gen_poly((0, 1, 3)).terms == {0: 1, 1: 1, 3: 1}
+        assert reduce_one(1, (0, 1, 3), 5) == (0, (1, 1, 0, 1, 0))
 
     def test_negative_exponent(self):
-        assert gen_poly((-2, 0)).terms == {-2: 1, 0: 1}
+        assert reduce_one(1, (-2, 0), 4) == (2, (1, 0, 1, 0))
 
     def test_singleton(self):
-        assert gen_poly((5,)).terms == {5: 1}
-
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="duplicate element 3"):
-            gen_poly((3, 3))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            gen_poly(())
+        assert reduce_one(1, (5,), 7) == (0, (0, 0, 0, 0, 0, 1, 0))
 
 
 class TestSubstitutePower:
+    """Coordinate i enters as F_Ai(z^ui): every exponent is scaled by ui."""
+
     def test_negative_power(self):
-        assert substitute_power(LaurentPoly({0: 1, 1: 1}), -2).terms == {0: 1, -2: 1}
+        assert reduce_one(-2, (0, 1), 4) == (2, (1, 0, 1, 0))
 
     def test_positive_power(self):
-        assert substitute_power(LaurentPoly({3: 1}), 3).terms == {9: 1}
+        assert reduce_one(3, (3,), 10) == (0, (0,) * 9 + (1,))
 
     def test_identity(self):
-        poly = LaurentPoly({0: 1, 1: 1, 2: 1})
-        assert substitute_power(poly, 1).terms == poly.terms
-
-    def test_rejects_zero_power(self):
-        with pytest.raises(ValueError):
-            substitute_power(LaurentPoly({1: 1}), 0)
+        assert reduce_one(1, (0, 1, 2), 3) == (0, (1, 1, 1))
 
     def test_exponent_overflow(self):
         with pytest.raises(IntegerOverflowError):
-            substitute_power(LaurentPoly({INT64_MAX: 1}), 2)
+            check_condition(LinearForm((2,)), SetTuple(((INT64_MAX,),)), 1, 1)
 
 
 class TestProduct:
@@ -100,53 +95,41 @@ class TestProduct:
         from linform import image_repfn
 
         form, sets = pair
-        factors = [substitute_power(gen_poly(a), u) for u, a in zip(form.coeffs, sets.sets)]
+        factors = [LaurentPoly({u * a: 1 for a in elements}) for u, elements in zip(form.coeffs, sets.sets)]
         assert product(factors).terms == image_repfn(form, sets).counts
 
 
 class TestMinShift:
+    """L is the least shift >= 0 that clears every negative exponent."""
+
     def test_negative_low(self):
-        assert min_shift(LaurentPoly({-2: 1, 0: 1})) == 2
+        assert reduce_one(1, (-2, 0), 1)[0] == 2
 
     def test_already_polynomial(self):
-        assert min_shift(LaurentPoly({0: 1, 1: 1})) == 0
+        assert reduce_one(1, (0, 1), 1)[0] == 0
 
     def test_positive_low(self):
-        assert min_shift(LaurentPoly({5: 1})) == 0
-
-    def test_zero_poly_rejected(self):
-        with pytest.raises(ValueError):
-            min_shift(LaurentPoly({}))
+        assert reduce_one(1, (5,), 1)[0] == 0
 
 
 class TestReduceCyclic:
+    """Reduction mod z^m - 1 folds the shifted exponents into residue classes."""
+
     def test_fold_positive(self):
-        assert reduce_cyclic(LaurentPoly({5: 1, 2: 1}), 3).coeffs == (0, 0, 2)
+        assert reduce_one(1, (2, 5), 3) == (0, (0, 0, 2))
 
     def test_fold_negative(self):
-        assert reduce_cyclic(LaurentPoly({-1: 1}), 2).coeffs == (0, 1)
+        # shifted by 3 to {0, 2, 3} before folding
+        assert reduce_one(1, (-3, -1, 0), 4) == (3, (1, 0, 1, 1))
 
     def test_already_reduced(self):
-        assert reduce_cyclic(LaurentPoly({0: 1, 1: 1, 2: 1, 3: 1}), 4).coeffs == (1, 1, 1, 1)
-
-    @given(poly_st, poly_st, st.integers(min_value=1, max_value=8))
-    def test_ring_homomorphism(self, f, g, m):
-        # Reducing a product equals cyclically convolving the reductions.
-        lhs = reduce_cyclic(product([f, g]), m).coeffs
-        a = reduce_cyclic(f, m).coeffs
-        b = reduce_cyclic(g, m).coeffs
-        conv = [0] * m
-        for i in range(m):
-            for j in range(m):
-                conv[(i + j) % m] += a[i] * b[j]
-        assert list(lhs) == conv
+        assert reduce_one(1, (0, 1, 2, 3), 4) == (0, (1, 1, 1, 1))
 
     @given(form_and_sets(), st.integers(min_value=1, max_value=10))
     def test_mass(self, pair, m):
         form, sets = pair
-        factors = [substitute_power(gen_poly(a), u) for u, a in zip(form.coeffs, sets.sets)]
-        reduced = reduce_cyclic(product(factors), m)
-        assert sum(reduced.coeffs) == math.prod(map(len, sets.sets))
+        reduced = check_condition(form, sets, m, 0).reduced
+        assert sum(reduced) == math.prod(map(len, sets.sets))
 
 
 class TestCheckCondition:
@@ -154,19 +137,19 @@ class TestCheckCondition:
         report = check_condition(LinearForm((1, 1)), SetTuple(((0, 1), (0, 2))), 4, 1)
         assert report.holds is True
         assert report.shift == 0
-        assert report.reduced.coeffs == (1, 1, 1, 1)
+        assert report.reduced == (1, 1, 1, 1)
 
     def test_negative_coefficient_shift(self):
         report = check_condition(LinearForm((-1,)), SetTuple(((0, 1),)), 2, 1)
         assert report.holds is True
         assert report.shift == 1
-        assert report.reduced.coeffs == (1, 1)
+        assert report.reduced == (1, 1)
 
     def test_gap_set_fails(self):
         report = check_condition(LinearForm((1,)), SetTuple(((0, 2),)), 2, 1)
         assert report.holds is False
         assert report.shift == 0
-        assert report.reduced.coeffs == (2, 0)
+        assert report.reduced == (2, 0)
 
     def test_modulus_one_counts_product_size(self):
         assert check_condition(LinearForm((1,)), SetTuple(((0, 1, 2),)), 1, 3).holds is True
@@ -175,6 +158,33 @@ class TestCheckCondition:
     def test_rejects_negative_t(self):
         with pytest.raises(ValueError):
             check_condition(LinearForm((1,)), SetTuple(((0,),)), 2, -1)
+
+    @pytest.mark.parametrize("m", [0, -3, True, 2.0])
+    def test_rejects_nonpositive_modulus(self, m):
+        with pytest.raises(ValueError, match="modulus m must be a positive integer"):
+            check_condition(LinearForm((1,)), SetTuple(((0,),)), m, 1)
+
+    def test_shifted_exponent_overflow_precedes_modulus(self):
+        # the shift L = 1 takes INT64_MAX out of range; m = 0 is checked later
+        with pytest.raises(IntegerOverflowError, match=f"{INT64_MAX} \\+ 1 overflows"):
+            check_condition(LinearForm((1,)), SetTuple(((-1, INT64_MAX),)), 0, 1)
+
+    def test_length_and_t_checked_before_modulus(self):
+        with pytest.raises(ValueError, match="form has 2 coordinates, got 1 sets"):
+            check_condition(LinearForm((1, 1)), SetTuple(((0,),)), 10**11, 1)
+        with pytest.raises(ValueError, match="t must be a nonnegative integer"):
+            check_condition(LinearForm((1,)), SetTuple(((0,),)), 10**11, -1)
+
+    @pytest.mark.parametrize("m", [MAX_MODULUS + 1, 10**11])
+    def test_modulus_above_limit_refused_before_allocating(self, m):
+        tracemalloc.start()
+        try:
+            with pytest.raises(LinformError, match=f"exceeds the limit {MAX_MODULUS}"):
+                check_condition(LinearForm((1,)), SetTuple(((0, 1),)), m, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     @given(
         form_and_sets(),
@@ -193,23 +203,20 @@ class TestCheckCondition:
         # oracle has no shift, so compare after rotating ours back by L.
         form, sets = pair
         report = check_condition(form, sets, m, 0)
-        rotated = tuple(
-            report.reduced.coeffs[(i + report.shift) % m] for i in range(m)
-        )
+        rotated = tuple(report.reduced[(i + report.shift) % m] for i in range(m))
         assert list(rotated) == oracle_cyclic_product(form.coeffs, sets.sets, m)
 
     @given(form_and_sets(), st.integers(min_value=1, max_value=10))
     def test_shift_invariance(self, pair, m):
-        # Rotating the reduced vector by a full modulus is the identity, so
-        # replacing L by L + m cannot change the verdict.
+        # One more factor z^m moves every exponent by m, so the clearing
+        # shift changes; the reduced vector only rotates, by the change in
+        # total shift, and the verdict stays.
         form, sets = pair
-        report = check_condition(form, sets, m, 1)
-        extra = reduce_cyclic(LaurentPoly({m: 1}), m)
-        rotated = tuple(
-            report.reduced.coeffs[(i - m) % m] for i in range(m)
-        )
-        assert extra.coeffs == tuple(1 if i == 0 else 0 for i in range(m))
-        assert rotated == report.reduced.coeffs
+        base = check_condition(form, sets, m, 1)
+        moved = check_condition(LinearForm(form.coeffs + (1,)), SetTuple(sets.sets + ((m,),)), m, 1)
+        delta = moved.shift + m - base.shift
+        assert moved.reduced == tuple(base.reduced[(i - delta) % m] for i in range(m))
+        assert moved.holds == base.holds
 
     def test_corpus_verdicts_hold_modulo_their_period(self, corpus):
         # Pairs with v=1 and B a single residue class are exactly the cases
@@ -220,13 +227,3 @@ class TestCheckCondition:
             form = LinearForm(pair.u)
             report = check_condition(form, SetTuple(pair.sets), pair.modulus, pair.t)
             assert report.holds is True, pair.name
-
-
-class TestCyclicPoly:
-    def test_length_must_match(self):
-        with pytest.raises(ValueError):
-            CyclicPoly(3, (1, 1))
-
-    def test_rejects_zero_coefficient_storage(self):
-        with pytest.raises(ValueError):
-            LaurentPoly({0: 0})

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+import tracemalloc
 from math import comb
 
 import pytest
@@ -13,9 +14,11 @@ from hypothesis import strategies as st
 
 from linform import (
     INT64_MAX,
+    MAX_MODULUS,
     AugmentedForm,
     IntegerOverflowError,
     LinearForm,
+    LinformError,
     PeriodicSet,
     SetTuple,
     augmented_repfn,
@@ -280,6 +283,17 @@ class TestModularRepfn:
     def test_rejects_nonpositive_modulus(self):
         with pytest.raises(ValueError):
             modular_repfn(LinearForm((1,)), SetTuple(((0,),)), 0)
+
+    @pytest.mark.parametrize("m", [MAX_MODULUS + 1, 10**11])
+    def test_modulus_above_limit_refused_before_allocating(self, m):
+        tracemalloc.start()
+        try:
+            with pytest.raises(LinformError, match=f"exceeds the limit {MAX_MODULUS}"):
+                modular_repfn(LinearForm((1,)), SetTuple(((0, 1),)), m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     @given(form_and_sets(), st.integers(min_value=1, max_value=12))
     def test_fold_consistency(self, pair, m):

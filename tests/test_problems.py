@@ -10,6 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from linform import (
+    AugmentedForm,
+    LinearForm,
     PeriodicSet,
     ProblemFormatError,
     TargetFunction,
@@ -49,6 +51,11 @@ class TestValidDocuments:
         assert problem.augmented_form is not None
         with pytest.raises(ProblemFormatError, match='needs field "v"'):
             problem.augmented_form()
+
+    def test_augmented_form_is_the_one_parsed(self):
+        problem = parse(FULL)
+        assert problem.augmented_form() is problem.augmented
+        assert problem.augmented == AugmentedForm(LinearForm((1,)), 1)
 
     def test_elements_are_sorted(self):
         assert parse({"u": [1], "A": [[3, 1, 2]]}).sets == ((1, 2, 3),)
