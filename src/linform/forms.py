@@ -224,5 +224,16 @@ def augmented_repfn_finite(
 ) -> int:
     """Count representations n = psi(a) + v*b with b in a finite set; any v != 0."""
     ensure_int64(n, "n")
-    image = image_repfn(form.base, sets)
-    return sum(image[n - form.v * b] for b in frozenset(members))
+    return finite_counts(image_repfn(form.base, sets), form.v, frozenset(members), n, n)[0]
+
+
+def finite_counts(image: RepFunction, v: int, members: Iterable[int], lo: int, hi: int) -> list[int]:
+    """Counts of n = g + v*b over the image values g and b in members, for n = lo..hi."""
+    counts = [0] * (hi - lo + 1)
+    items = image.counts.items()
+    for b in members:
+        shift = v * b - lo
+        for value, mult in items:
+            if 0 <= value + shift <= hi - lo:
+                counts[value + shift] += mult
+    return counts

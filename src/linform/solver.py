@@ -19,11 +19,27 @@ only drops subtrees without a solution, so the first witness in this order
 is the one found. The candidates listed run from the least to the
 greatest b for which some image value lands inside the window; those beyond
 either end are excluded outright. A candidate between them whose shifted
-image misses the window is still branched on, include first, so a witness
-can carry such idle elements. The search is exhaustive: Unsat is a proof,
-never a timeout; running out of the node budget reports ResourceLimit
-instead. Every witness is re-verified by direct finite counting before
-being returned.
+image misses the window is idle: it has no floor either, its two subtrees
+are the same, so only the include branch is taken, and a witness can carry
+such idle elements. The search is exhaustive: Unsat is a proof, never a
+timeout; running out of the node budget reports ResourceLimit instead.
+Every witness is re-verified by direct finite counting before being
+returned.
+
+The counts live in one int, a digit of (mass + 1).bit_length() + 1 bits per
+position, where the mass (the image's total count) bounds every count
+(Lamport, "Multiple byte processing with full-word instructions", CACM 18,
+1975). The int holds only a band: the positions from the first one not yet
+final to the last one the current candidate touches, clipped to the window,
+so no int is longer than min(diameter + 1, 2N + 1) digits; deciding a
+candidate shifts the finalized digits out. Including adds the candidate's
+packed image, then per-digit offsets under which an overcount is a carry
+into a digit's top bit and a final count on target leaves the digit at
+half - 1, so one mask test checks both; the floors of an exclude are carry
+tests of the same kind, fused with its final digits. Each branch on the
+stack keeps its own int, so backtracking restores nothing. The per-candidate
+constants, the saved ints and the window-wide digit tables they are cut
+from are charged against MAX_PACKED_BITS before any is built.
 
 stabilize chains the pieces: it solves growing windows with the constant-t
 target, feeds each witness's central bits to the period detector, and
@@ -33,21 +49,29 @@ accepts the first candidate set that passes full verification.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 from .checked import checked_add, checked_mul, checked_sub
 from .errors import InconsistentWindowError, LinformError
-from .forms import AugmentedForm, RepFunction, SetTuple, image_repfn
+from .forms import AugmentedForm, RepFunction, SetTuple, finite_counts, image_repfn
 from .periodic import PeriodicSet, check_t_complementing
 from .recursion import DEFAULT_MAX_GAP, PeriodReport, Window, build_context, detect_period
 
 DEFAULT_NODE_BUDGET = 10_000_000
-# What one window search may allocate: the radius N sizes two lists of
-# 2N + 1 counts, and the candidate span one list entry per candidate. Both
-# are far above the radii in use (hundreds) and far below what exhausts
-# memory.
+# What one window search may allocate: the radius N sizes a list of 2N + 1
+# targets, and the candidate span one list entry per candidate. Both are far
+# above the radii in use (hundreds) and far below what exhausts memory.
 MAX_RADIUS = 1_000_000
 MAX_CANDIDATE_SPAN = 1_000_000
+# What the packed counts of one window search may take, in digit bits: per
+# candidate, seven constants and one saved state of at most one band each, a
+# band being min(diameter + 1, 2N + 1) digits, and per window position two
+# digit tables, each built through a string of one byte per bit. Checked
+# before any of them is built.
+PACKED_PER_CANDIDATE = 8
+PACKED_PER_POSITION = 16
+MAX_PACKED_BITS = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -155,7 +179,7 @@ def solve_window(problem: WindowProblem, max_nodes: int = DEFAULT_NODE_BUDGET) -
     if N > MAX_RADIUS:
         raise LinformError(f"window radius N = {N} exceeds the limit {MAX_RADIUS}")
     v, g_min, g_max = form.v, image.g_min, image.g_max
-    support = image.support()
+    diam = g_max - g_min
 
     # Only candidates with a representation landing inside the window matter;
     # the rest of the candidate interval is canonically excluded.
@@ -165,27 +189,26 @@ def solve_window(problem: WindowProblem, max_nodes: int = DEFAULT_NODE_BUDGET) -
         raise LinformError(
             f"candidate span {contrib_hi - contrib_lo} exceeds the limit {MAX_CANDIDATE_SPAN}"
         )
-
-    required = [target.at(n) for n in range(-N, N + 1)]
-    counts = [0] * (2 * N + 1)
-
-    def advance(frontier: int, limit: int) -> int | None:
-        # Verify every newly finalized position; None signals a violation.
-        stop = min(limit, N)
-        while frontier < stop:
-            frontier += 1
-            need = required[frontier + N]
-            if need is not None and counts[frontier + N] != need:
-                return None
-        return frontier
-
-    candidates = list(range(contrib_lo, contrib_hi + 1))
+    candidates = range(contrib_lo, contrib_hi + 1)
     last = len(candidates)
+    # A count at n sums image values n - v*b over distinct b, so it never
+    # exceeds the image's mass; a digit of width bits holds it with a spare
+    # top bit for the carry tests.
+    mass = image.total()
+    width = (mass + 1).bit_length() + 1
+    widest = min(diam + 1, 2 * N + 1)  # digits in a band
+    packed = width * (PACKED_PER_CANDIDATE * last * widest + PACKED_PER_POSITION * (2 * N + 1))
+    if packed > MAX_PACKED_BITS:
+        raise LinformError(f"packed counts of {packed} bits exceed the limit {MAX_PACKED_BITS}")
     if candidates:
         # every shifted value g + v*b lies between these two sums, so checking
         # them checks all
         checked_add(g_min, checked_mul(v, contrib_lo))
         checked_add(g_max, checked_mul(v, contrib_hi))
+
+    required = [target.at(n) for n in range(-N, N + 1)]
+    support = image.support()
+    values = [value for value, _ in support]
     # Once candidate b is excluded, a position n = g + v*b that it touches can
     # still gain only from the candidates above b, which reach n through the
     # image values under g in g's class mod v: below[g] in all. So the count
@@ -199,81 +222,136 @@ def solve_window(problem: WindowProblem, max_nodes: int = DEFAULT_NODE_BUDGET) -
         if k < top:
             low.append((value, k))
         below[value % v] = k + mult
-    contributions: list[list[tuple[int, int]]] = []  # (position + N, multiplicity) per candidate
-    floors: list[list[tuple[int, int]]] = []  # (position + N, least count if excluded) per candidate
-    for b in candidates:
-        start, stop = -N - v * b, N - v * b  # the values that land in the window
-        contributions.append([(value - start, mult) for value, mult in support if start <= value <= stop])
-        floors.append(
-            [
-                (value - start, required[value - start] - k)
-                for value, k in low
-                if start <= value <= stop and (required[value - start] or 0) > k
-            ]
+
+    # Digit tests. A target above the mass is as unreachable as mass + 1. An
+    # offset of half - 1 - f(n) sets a digit's top bit exactly when the count
+    # exceeds f(n), and leaves the digit at half - 1 exactly when the count
+    # equals f(n); an offset of half - floor sets the top bit exactly when the
+    # count reaches the floor. An unconstrained position is never tested.
+    # Including a candidate is then one addition of its image, one of the
+    # offsets and one mask test: no top bit set, and half - 1 in every digit
+    # it finalizes. Excluding is one addition and one mask test: top bits at
+    # the floors, half - 1 in the final digits.
+    cap, half = mass + 1, 1 << (width - 1)
+    high = int(format(half, f"0{width}b") * widest, 2)
+
+    targets = set(required)
+
+    def window_table(digit) -> bytes:
+        # one digit per window position, position -N in the lowest bits
+        strings = {need: format(0 if need is None else digit(need), f"0{width}b") for need in targets}
+        digits = int("".join([strings[need] for need in reversed(required)]), 2)
+        return digits.to_bytes((width * (2 * N + 1) + 7) // 8, "little")
+
+    over_table = window_table(lambda need: half - 1 - min(need, cap))
+    final_table = window_table(lambda need: (1 << width) - 1)
+
+    def cut(table: bytes, lo: int, hi: int) -> int:
+        # the digits of positions lo..hi, position lo in the lowest bits; with
+        # one target throughout, every stretch of a table reads as its start
+        if hi < lo:
+            return 0
+        start = 0 if len(targets) == 1 else width * (lo + N)
+        stop = start + width * (hi - lo + 1)
+        stretch = int.from_bytes(table[start >> 3 : (stop + 7) >> 3], "little")
+        return (stretch >> (start & 7)) & ((1 << (stop - start)) - 1)
+
+    # Candidate i's band runs from the first position not yet final to the
+    # last one it touches, clipped to the window. Deciding i finalizes the
+    # band's positions up to end, so the next band starts past them and the
+    # counts shift down by the difference.
+    def band(i: int) -> tuple:
+        """(image, offsets, include test, its result, exclude offsets, test, result, shift) of candidate i."""
+        vb = v * candidates[i]
+        lo = g_min + vb
+        base = lo if lo > -N else -N
+        stop = lo + diam if lo + diam < N else N
+        end = N if i == last - 1 else lo + v - 1  # the last position final once i is decided
+        over = cut(over_table, base, stop)
+        final = cut(final_table, base, min(end, stop))
+        mask = floor = floor_bits = 0
+        for value, mult in support[bisect_left(values, base - vb) : bisect_left(values, stop + 1 - vb)]:
+            mask |= mult << width * (value + vb - base)
+        for value, k in low:
+            n = value + vb  # a floor where the count is final is implied by the final test
+            if base <= n <= stop and n > end and (required[n + N] or 0) > k:
+                floor |= (half - min(required[n + N] - k, cap)) << width * (n - base)
+                floor_bits |= half << width * (n - base)
+        expect = final & ~high  # half - 1 in each final digit
+        # A position that deciding i finalizes outside its band (below the
+        # first band, or between bands when v exceeds diam + 1) is reached by
+        # no candidate: a positive target there fails both branches of i.
+        unreached = required[stop + N + 1 : end + N + 1] if end > stop else []
+        if any(unreached) or (i == 0 and any(required[: base + N])):
+            expect = -1
+        after = lo + v if i < last - 1 and lo + v > -N else base
+        return (
+            mask,
+            over,
+            high | final,
+            expect,
+            over & final | floor,
+            final | floor_bits,
+            expect | floor_bits,
+            width * (after - base),
         )
-    # positions up to thresholds[i] are final once candidate i is decided
-    thresholds = [g_min + v * b + v - 1 for b in candidates[:-1]] + [N]
+
+    # The candidates from first up to past have unclipped, adjacent bands and
+    # differ only in the targets over them; when those are one value, the
+    # whole run takes one tuple in one step.
+    first = max(1, -((N + g_min) // v) - contrib_lo)
+    past = min(last - 1, (N - g_max) // v - contrib_lo + 1)
+    run_lo, run_hi = g_min + v * (contrib_lo + first), g_max + v * (contrib_lo + past - 1)
+    if first >= past or v > diam + 1 or len(set(required[run_lo + N : run_hi + N + 1])) != 1:
+        first = past = last
+    plan: list[tuple] = []
+    while len(plan) < last:
+        if len(plan) == first:
+            plan += [band(first)] * (past - first)
+            continue
+        plan.append(band(len(plan)))
+        if plan[-1][3] == -1:  # a candidate that always fails: nothing past it is reached
+            break
 
     # Depth-first with an explicit stack of branches still to take, so the
-    # depth is not bounded by Python's recursion limit. Popping the include
+    # depth is not bounded by Python's recursion limit; each branch carries
+    # the counts of its band, so backtracking is popping. Popping the include
     # branch of candidate i first pushes its exclude branch, which thus runs
-    # after the whole include subtree, in the order of a recursive search.
+    # after the whole include subtree, in the order of a recursive search. An
+    # idle candidate, whose image misses the window (so it has no floor
+    # either), has two identical subtrees, so only its include branch is taken.
     chosen: list[int] = []  # indexes of the included candidates, innermost last
-    branches = [(0, -N - 1, True)]  # (candidate index, frontier, include?)
+    branches = [(0, 0, True)] if last or not any(required) else []
     nodes = 0
     while branches:
-        i, frontier, include = branches.pop()
+        i, counts, include = branches.pop()
         if i == last:
-            if advance(frontier, N) is not None:
-                break
-            continue
+            break
         nodes += 1
         if nodes > max_nodes:
             return SolveResult(SolveStatus.RESOURCE_LIMIT, None, nodes)
+        mask, over, include_test, include_ok, exclude_add, exclude_test, exclude_ok, shift = plan[i]
         if include:
-            branches.append((i, frontier, False))
-            placed = 0
-            for index, mult in contributions[i]:
-                counts[index] += mult
-                placed += 1
-                need = required[index]
-                if need is not None and counts[index] > need:
-                    break
-            else:
-                after = advance(frontier, thresholds[i])
-                if after is not None:
-                    chosen.append(i)
-                    branches.append((i + 1, after, True))
-                    continue
-            for index, mult in contributions[i][:placed]:
-                counts[index] -= mult
+            if mask:  # an idle candidate's exclude subtree is its include subtree
+                branches.append((i, counts, False))
+            counts += mask
+            if (counts + over) & include_test != include_ok:
+                continue
+            chosen.append(i)
         else:
             while chosen and chosen[-1] >= i:  # leave the include subtrees below i
-                for index, mult in contributions[chosen.pop()]:
-                    counts[index] -= mult
-            for index, floor in floors[i]:
-                if counts[index] < floor:
-                    break
-            else:
-                after = advance(frontier, thresholds[i])
-                if after is not None:
-                    branches.append((i + 1, after, True))
+                chosen.pop()
+            if (counts + exclude_add) & exclude_test != exclude_ok:
+                continue
+        branches.append((i + 1, counts >> shift, True))
     else:
         return SolveResult(SolveStatus.UNSAT, None, nodes)
 
     # Re-verify the witness by counting each position afresh, apart from the search.
     witness = tuple(candidates[i] for i in chosen)
-    members = frozenset(witness)
-    for n in range(-N, N + 1):
+    for n, observed in enumerate(finite_counts(image, v, witness, -N, N), -N):
         need = target.at(n)
-        if need is None:
-            continue
-        observed = 0
-        for value, mult in support:
-            delta = n - value
-            if delta % v == 0 and delta // v in members:
-                observed += mult
-        if observed != need:
+        if need is not None and observed != need:
             raise AssertionError(f"witness failed re-verification at {n}")
     return SolveResult(SolveStatus.SOLVED, witness, nodes)
 

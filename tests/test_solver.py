@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import tracemalloc
 from dataclasses import replace
@@ -28,7 +29,8 @@ from linform import (
     stabilize,
 )
 
-from linform.solver import MAX_CANDIDATE_SPAN, MAX_RADIUS
+from linform.cli import main
+from linform.solver import MAX_CANDIDATE_SPAN, MAX_PACKED_BITS, MAX_RADIUS
 
 from corpus import CORPUS
 from oracles import oracle_window_dfs, oracle_window_satisfiable
@@ -137,6 +139,8 @@ class TestSolveWindow:
             (1, ((0, 1),), MAX_RADIUS + 1, f"exceeds the limit {MAX_RADIUS}"),
             # the candidate list: one entry per b between the two ends
             (1, ((-(2**61), 2**61),), 1, f"span {2**62 + 2} exceeds the limit {MAX_CANDIDATE_SPAN}"),
+            # the packed counts: 40,001 candidates with bands of 20,001 digits
+            (1, ((0, 20_000),), 10_000, f"bits exceed the limit {MAX_PACKED_BITS}"),
         ],
     )
     def test_budget_refused_before_allocating(self, v, sets, N, limit):
@@ -149,6 +153,38 @@ class TestSolveWindow:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+    def test_tree_is_pinned(self):
+        # the unsat proof of the largest search in the benchmark pool
+        result = solve_window(window_problem((1,), 1, ((0, 1, 2, 4, 16),), 20, TargetFunction.constant(1)))
+        assert result.status is SolveStatus.UNSAT
+        assert result.nodes_explored == 144_336
+
+    def test_long_window_stays_small(self):
+        # one band of two digits per candidate: the list-based search, with a
+        # list of (position, multiplicity) pairs per candidate, peaked at
+        # 26.4 MiB on this call
+        problem = window_problem((1,), 1, ((0, 1),), 20_000, TargetFunction.constant(1))
+        tracemalloc.start()
+        try:
+            result = solve_window(problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.status is SolveStatus.SOLVED
+        assert (len(result.witness), result.nodes_explored) == (20_001, 60_003)
+        assert peak < 26.4 * 2**20
+
+    @pytest.mark.parametrize("reach,nodes", [(10, 25), (100, 205)])
+    def test_idle_candidates_branch_once(self, reach, nodes, tmp_path, capsys):
+        # Only b = +-(reach - 1..reach + 1) touch [-1, 1]; branching on the
+        # idle ones between them doubled the tree per candidate.
+        result = solve_window(window_problem((1,), 1, ((-reach, reach),), 1, TargetFunction.constant(3)))
+        assert (result.status, result.nodes_explored) == (SolveStatus.UNSAT, nodes)
+        path = tmp_path / "idle.json"
+        path.write_text(json.dumps({"u": [1], "v": 1, "A": [[-reach, reach]]}))
+        assert main(["solve", "--input", str(path), "-t", "3", "-N", "1", "--max-nodes", "1000"]) == 1
+        assert f"unsatisfiable at N = 1 ({nodes} nodes)" in capsys.readouterr().err
 
     def test_no_reachable_candidates_unsat(self):
         # v=2 with psi(A)={1}: every representation is odd, so requiring one
@@ -240,12 +276,16 @@ class TestFloorPrune:
     def random_instance(rng):
         h = rng.randint(1, 2)
         u = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(h))
+        if h == 2 and rng.random() < 0.3:
+            u = (u[0], u[0])  # equal coefficients: values with multiplicity above 1
         sets = tuple(tuple(rng.sample(range(-4, 5), rng.randint(1, 3))) for _ in range(h))
-        v, radius = rng.randint(1, 3), rng.randint(0, 3)
-        if rng.random() < 0.5:
+        if rng.random() < 0.15:
+            sets = ((-40, 40),) + sets[1:]  # sparse and wide: most candidates touch nothing
+        v, radius = rng.randint(1, 3), rng.randint(0, 8)
+        if rng.random() < 0.4:
             return u, v, sets, radius, TargetFunction.constant(rng.randint(0, 3))
         overrides = {rng.randint(-radius, radius): rng.randint(0, 3) for _ in range(rng.randint(1, 3))}
-        return u, v, sets, radius, TargetFunction(rng.choice((None, 0, 1, 2)), overrides)
+        return u, v, sets, radius, TargetFunction(rng.choice((None, None, 0, 1, 2)), overrides)
 
     def test_matches_search_without_floors(self):
         rng = random.Random(8)
