@@ -31,7 +31,6 @@ from .forms import (
     RepFunction,
     SetTuple,
     augmented_repfn_finite,
-    eval_form,
     image_repfn,
     modular_repfn,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "checked_neg",
     "checked_sub",
     "detect_period",
-    "eval_form",
     "extend",
     "image_repfn",
     "modular_repfn",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .checked import checked_add, checked_mul, checked_neg, checked_sub, ensure_int64
 from .errors import LinformError
@@ -166,25 +166,15 @@ class RepFunction:
         return folded
 
 
-def eval_form(form: LinearForm, values: Sequence[int]) -> int:
-    """Evaluate u1*x1 + ... + uh*xh exactly, rejecting overflow."""
-    if len(values) != form.h:
-        raise ValueError(f"form has {form.h} coordinates, got {len(values)} values")
-    total = 0
-    for u, x in zip(form.coeffs, values):
-        total = checked_add(total, checked_mul(u, ensure_int64(x, "argument")))
-    return total
-
-
 def image_repfn(form: LinearForm, sets: SetTuple) -> RepFunction:
     """Representation function of the form, folded in one coordinate at a time.
 
     Overflow is checked once per coordinate, in coordinate order: the two
     extremes ui*min(Ai) and ui*max(Ai), then the running extremes of the
-    partial sums. A prefix sum u1*a1 + ... + uk*ak leaves the signed 64-bit
-    range for some tuple exactly when one of those does, so this raises
-    IntegerOverflowError on the same inputs as eval_form over every tuple,
-    and the convolution itself runs on plain ints.
+    partial sums. A product ui*ai or a prefix sum u1*a1 + ... + uk*ak leaves
+    the signed 64-bit range for some tuple exactly when one of those does, so
+    this raises IntegerOverflowError exactly then, and the convolution itself
+    runs on plain ints.
     """
     if len(sets) != form.h:
         raise ValueError(f"form has {form.h} coordinates, got {len(sets)} sets")

@@ -43,7 +43,16 @@ from are charged against MAX_PACKED_BITS before any is built.
 
 stabilize chains the pieces: it solves growing windows with the constant-t
 target, feeds each witness's central bits to the period detector, and
-accepts the first candidate set that passes full verification.
+accepts the first candidate set that passes full verification. With one
+target throughout, counted from the window's left end, candidate index i
+touches the same positions at radius N and at N + v, and the window of
+N + v is that of N with 2v more positions on the right. A solution at N + v
+cut to the candidates of N solves N, as every candidate reaching those
+positions is among them. So wherever the witness path of N excludes a
+candidate, its include branch under the same prefix is refuted at N + v as
+well: the search at N + v follows that path without those branches up to
+its first failing check, and goes on as a plain DFS from there. It finds
+the same witness, or the same verdict, in fewer nodes.
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from itertools import compress
 
 from .checked import checked_add, checked_mul, checked_sub
 from .errors import InconsistentWindowError, LinformError
@@ -171,6 +181,16 @@ def candidate_bound(form: AugmentedForm, sets: SetTuple, N: int) -> WindowProble
 
 def solve_window(problem: WindowProblem, max_nodes: int = DEFAULT_NODE_BUDGET) -> SolveResult:
     """Canonical DFS for a finite set matching the target on [-N, N]."""
+    return _search(problem, max_nodes)[0]
+
+
+def _search(problem: WindowProblem, max_nodes: int, resume: bytes = b"") -> tuple[SolveResult, bytes]:
+    """solve_window's search, which also returns the witness path: per candidate, 1 if included.
+
+    Up to its first failing check, the search skips the include branch
+    wherever resume holds 0. That is exact only where those branches are
+    refuted in this window, as for stabilize (see the module docstring).
+    """
     if problem.target is None:
         raise ValueError("the problem has no target function; attach one first")
     if max_nodes < 1:
@@ -313,47 +333,57 @@ def solve_window(problem: WindowProblem, max_nodes: int = DEFAULT_NODE_BUDGET) -
         if plan[-1][3] == -1:  # a candidate that always fails: nothing past it is reached
             break
 
-    # Depth-first with an explicit stack of branches still to take, so the
-    # depth is not bounded by Python's recursion limit; each branch carries
-    # the counts of its band, so backtracking is popping. Popping the include
-    # branch of candidate i first pushes its exclude branch, which thus runs
-    # after the whole include subtree, in the order of a recursive search. An
-    # idle candidate, whose image misses the window (so it has no floor
-    # either), has two identical subtrees, so only its include branch is taken.
-    chosen: list[int] = []  # indexes of the included candidates, innermost last
-    branches = [(0, 0, True)] if last or not any(required) else []
-    nodes = 0
-    while branches:
-        i, counts, include = branches.pop()
-        if i == last:
-            break
-        nodes += 1
-        if nodes > max_nodes:
-            return SolveResult(SolveStatus.RESOURCE_LIMIT, None, nodes)
+    # Depth-first, going down in local variables: at candidate i, with the
+    # counts of its band, the include branch is tried first and the exclude
+    # branch is pushed as (i, counts), so it runs after the whole include
+    # subtree, in the order of a recursive search, and the depth is not
+    # bounded by Python's recursion limit. taken holds the path to i. An idle
+    # candidate, whose image misses the window (so it has no floor either),
+    # has two identical subtrees, so only its include branch is taken. A node
+    # either moves i on by one or pops, so the count is kept at pops and the
+    # budget caps how far i may go until the next one.
+    if not last and any(required):
+        return SolveResult(SolveStatus.UNSAT, None, 0), b""
+    taken = bytearray(last)
+    pending: list[tuple[int, int]] = []  # exclude branches still to take
+    spent = i = counts = 0  # spent + i nodes before the node at i
+    stop = min(last, max_nodes)
+    include, along = True, len(resume)
+    while i < stop:
         mask, over, include_test, include_ok, exclude_add, exclude_test, exclude_ok, shift = plan[i]
-        if include:
+        if include and (i >= along or resume[i]):
             if mask:  # an idle candidate's exclude subtree is its include subtree
-                branches.append((i, counts, False))
+                pending.append((i, counts))
             counts += mask
-            if (counts + over) & include_test != include_ok:
+            if (counts + over) & include_test == include_ok:
+                taken[i] = 1
+                counts >>= shift
+                i += 1
                 continue
-            chosen.append(i)
-        else:
-            while chosen and chosen[-1] >= i:  # leave the include subtrees below i
-                chosen.pop()
-            if (counts + exclude_add) & exclude_test != exclude_ok:
-                continue
-        branches.append((i + 1, counts >> shift, True))
-    else:
-        return SolveResult(SolveStatus.UNSAT, None, nodes)
+        elif (counts + exclude_add) & exclude_test == exclude_ok:
+            counts >>= shift
+            i += 1
+            include = True
+            continue
+        if not pending:
+            return SolveResult(SolveStatus.UNSAT, None, spent + i + 1), b""
+        back, counts = pending.pop()
+        taken[back] = 0
+        spent += i + 1 - back
+        i, stop = back, max_nodes - spent
+        if stop > last:
+            stop = last
+        include, along = False, 0
+    if i < last:
+        return SolveResult(SolveStatus.RESOURCE_LIMIT, None, max_nodes + 1), b""
 
     # Re-verify the witness by counting each position afresh, apart from the search.
-    witness = tuple(candidates[i] for i in chosen)
+    witness = tuple(compress(candidates, taken))
     for n, observed in enumerate(finite_counts(image, v, witness, -N, N), -N):
         need = target.at(n)
         if need is not None and observed != need:
             raise AssertionError(f"witness failed re-verification at {n}")
-    return SolveResult(SolveStatus.SOLVED, witness, nodes)
+    return SolveResult(SolveStatus.SOLVED, witness, spent + last), bytes(taken)
 
 
 def recenter(form: AugmentedForm, members: tuple[int, ...], c: int) -> tuple[int, ...]:
@@ -376,7 +406,12 @@ def stabilize(
     max_nodes: int = DEFAULT_NODE_BUDGET,
     max_gap: int = DEFAULT_MAX_GAP,
 ) -> StabilizeResult:
-    """Search radii N = 1..max_n for a window witness that settles into a verified period."""
+    """Search radii N = 1..max_n for a window witness that settles into a verified period.
+
+    Radius N resumes from the witness path of radius N - v (see the module
+    docstring), so max_nodes bounds the nodes each radius visits past what
+    that path already refuted.
+    """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     ctx = build_context(form, sets, t)
@@ -393,8 +428,10 @@ def stabilize(
 
     attempts: list[StabilizeAttempt] = []
     skeleton = WindowProblem(form, TargetFunction.constant(t), 0, ctx.image)
+    paths: dict[int, bytes] = {}  # witness paths of the last v radii
     for radius in range(1, max_n + 1):
-        result = solve_window(replace(skeleton, N=radius), max_nodes=max_nodes)
+        problem = replace(skeleton, N=radius)
+        result, paths[radius] = _search(problem, max_nodes, paths.pop(radius - form.v, b""))
         if result.status is SolveStatus.UNSAT:
             # Window constraints only grow with N, so no larger radius can succeed.
             attempts.append(StabilizeAttempt(radius, "unsat", "no finite witness; larger N cannot help"))

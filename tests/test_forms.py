@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from linform import (
     INT64_MAX,
+    INT64_MIN,
     MAX_MODULUS,
     AugmentedForm,
     IntegerOverflowError,
@@ -23,7 +24,6 @@ from linform import (
     SetTuple,
     augmented_repfn,
     augmented_repfn_finite,
-    eval_form,
     image_repfn,
     modular_repfn,
 )
@@ -96,29 +96,37 @@ class TestConstruction:
             SetTuple(((),))
 
 
+def evaluate(form: LinearForm, values) -> int:
+    """The form at one tuple: its image over singleton sets is that one value."""
+    (value,) = image_repfn(form, SetTuple(tuple((x,) for x in values))).counts
+    return value
+
+
 class TestEvalForm:
+    """Evaluating the form at one tuple, as image_repfn of singleton sets."""
+
     def test_two_coordinates(self):
-        assert eval_form(LinearForm((2, -3)), (1, 2)) == -4
+        assert evaluate(LinearForm((2, -3)), (1, 2)) == -4
 
     def test_single_zero(self):
-        assert eval_form(LinearForm((1,)), (0,)) == 0
+        assert evaluate(LinearForm((1,)), (0,)) == 0
 
     def test_cancellation(self):
-        assert eval_form(LinearForm((1, 1)), (7, -7)) == 0
+        assert evaluate(LinearForm((1, 1)), (7, -7)) == 0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="2 coordinates"):
-            eval_form(LinearForm((1, 1)), (1,))
+            evaluate(LinearForm((1, 1)), (1,))
 
     def test_overflow_detected(self):
         with pytest.raises(IntegerOverflowError):
-            eval_form(LinearForm((2,)), (INT64_MAX,))
+            evaluate(LinearForm((2,)), (INT64_MAX,))
 
     @given(form_and_sets())
     def test_matches_plain_loop(self, pair):
         form, sets = pair
         for combo in itertools.product(*sets.sets):
-            assert eval_form(form, combo) == oracle_eval(form.coeffs, combo)
+            assert evaluate(form, combo) == oracle_eval(form.coeffs, combo)
 
 
 class TestImageRepfn:
@@ -176,17 +184,19 @@ class TestImageRepfn:
 
 
 def overflows_on_some_tuple(form: LinearForm, sets: SetTuple) -> bool:
+    """Whether some tuple has a product ui*ai or a prefix sum outside signed 64-bit."""
     for combo in itertools.product(*sets.sets):
-        try:
-            eval_form(form, combo)
-        except IntegerOverflowError:
-            return True
+        for k, (u, x) in enumerate(zip(form.coeffs, combo), 1):
+            for value in (oracle_eval((u,), (x,)), oracle_eval(form.coeffs[:k], combo[:k])):
+                if not INT64_MIN <= value <= INT64_MAX:
+                    return True
     return False
 
 
 class TestImageOverflow:
-    # image_repfn checks overflow once per coordinate; eval_form checks every
-    # multiply-add of every tuple. Both must refuse exactly the same inputs.
+    # image_repfn checks overflow once per coordinate; the oracle checks every
+    # product and every prefix sum of every tuple. Both must refuse exactly
+    # the same inputs.
 
     def test_prefix_overflow_with_fitting_total(self):
         # 2**62 + 2**62 - 2**62 fits, but the partial sum 2**63 does not

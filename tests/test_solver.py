@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linform.solver
 from linform import (
     AugmentedForm,
+    InconsistentWindowError,
     IntegerOverflowError,
     LinearForm,
     LinformError,
@@ -20,9 +22,12 @@ from linform import (
     SetTuple,
     SolveStatus,
     TargetFunction,
+    Window,
     augmented_repfn_finite,
+    build_context,
     candidate_bound,
     check_t_complementing,
+    detect_period,
     image_repfn,
     recenter,
     solve_window,
@@ -421,3 +426,109 @@ class TestStabilize:
     def test_rejects_nonpositive_max_n(self):
         with pytest.raises(ValueError):
             stabilize(AugmentedForm(LinearForm((1,)), 1), SetTuple(((0, 1),)), 1, 0)
+
+
+def reference_stabilize(form, sets, t, max_n, max_nodes):
+    """stabilize's loop on public calls, every radius solved from nothing.
+
+    Returns the periodic set found (or None), the (N, status) of each
+    attempt, and the (N, status, witness) of each window solve.
+    """
+    ctx = build_context(form, sets, t)
+    attempts, solves = [], []
+    for radius in range(1, max_n + 1):
+        problem = replace(candidate_bound(form, sets, radius), target=TargetFunction.constant(t))
+        result = solve_window(problem, max_nodes=max_nodes)
+        solves.append((radius, result.status, result.witness))
+        if result.status is not SolveStatus.SOLVED:
+            attempts.append((radius, result.status.value))
+            break
+        start = -(ctx.gap // 2)
+        seed = Window(start, tuple(int(start + i in result.witness) for i in range(ctx.gap)))
+        try:
+            report = detect_period(ctx, seed)
+        except InconsistentWindowError:
+            attempts.append((radius, "inconsistent"))
+            continue
+        if check_t_complementing(form, ctx.image, report.periodic_set, t).verdict:
+            attempts.append((radius, "verified"))
+            return report.periodic_set, attempts, solves
+        attempts.append((radius, "rejected"))
+    return None, attempts, solves
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Record (N, status, witness, nodes) of every private window search."""
+    calls = []
+    search = linform.solver._search
+
+    def recorded(problem, max_nodes, resume=b""):
+        result, path = search(problem, max_nodes, resume)
+        calls.append((problem.N, result.status, result.witness, result.nodes_explored))
+        return result, path
+
+    monkeypatch.setattr(linform.solver, "_search", recorded)
+    return calls
+
+
+class TestResume:
+    """Each stabilize radius N resumes from the witness path of radius N - v."""
+
+    def test_matches_solving_every_radius_afresh(self, searches):
+        rng = random.Random(16)
+        resumed = 0
+        for _ in range(300):
+            h = rng.randint(1, 2)
+            u = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(h))
+            sets = SetTuple(tuple(tuple(rng.sample(range(-2, 4), rng.randint(2, 4))) for _ in range(h)))
+            v, t, budget = rng.randint(1, 3), rng.randint(1, 2), rng.choice((50, 500, 10**5))
+            form = AugmentedForm(LinearForm(u), v)
+            if not 1 <= build_context(form, sets, t).gap <= 12:
+                continue  # gap 0 never searches; large gaps only slow period detection
+            instance = (u, v, sets.sets, t, budget)
+            found, attempts, solves = reference_stabilize(form, sets, t, 8, budget)
+            searches.clear()
+            result = stabilize(form, sets, t, 8, max_nodes=budget)
+            got = [(a.N, a.status) for a in result.attempts]
+            if attempts[-1][1] == "resource_limit":
+                # resuming visits fewer nodes, so it may get past the radius
+                # whose budget the reference ran out of
+                assert got[: len(attempts) - 1] == attempts[:-1], instance
+                assert len(got) >= len(attempts), instance
+                assert [call[:3] for call in searches[: len(solves) - 1]] == solves[:-1], instance
+            else:
+                assert (got, result.periodic_set) == (attempts, found), instance
+                assert [call[:3] for call in searches] == solves, instance
+            resumed += len(solves) > v
+        assert resumed >= 50
+
+    @pytest.mark.parametrize(
+        "elements,t,nodes",
+        [
+            # the two largest stabilize calls of the benchmark pool; every
+            # radius solved afresh took 150,864 and 193,908 nodes
+            ((0, 2, 6, 12, 15), 2, 89_292),
+            ((0, 1, 2, 4, 16), 1, 81_928),
+        ],
+    )
+    def test_node_savings_are_pinned(self, searches, elements, t, nodes):
+        result = stabilize(AugmentedForm(LinearForm((1,)), 1), SetTuple((elements,)), t, 12)
+        assert [call[0] for call in searches] == list(range(1, 13))
+        assert result.attempts[-1].N == 12
+        assert sum(call[3] for call in searches) <= nodes
+
+    def test_aligns_on_radius_minus_v(self):
+        # stabilize verifies this instance at N = 1, so the chain of radii is
+        # driven here: index i names the same candidate, counted from the
+        # window's left end, at N - 3 and at N
+        form, sets = AugmentedForm(LinearForm((1, 3)), 3), SetTuple(((0, 1, 2), (0, 1, 2)))
+        paths, nodes = {}, 0
+        for radius in range(1, 13):
+            problem = replace(candidate_bound(form, sets, radius), target=TargetFunction.constant(1))
+            result, paths[radius] = linform.solver._search(problem, 100, paths.pop(radius - 3, b""))
+            afresh = solve_window(problem)
+            assert (result.status, result.witness) == (afresh.status, afresh.witness), radius
+            assert result.nodes_explored <= afresh.nodes_explored
+            nodes += result.nodes_explored
+        assert nodes <= 107  # 142 solving every radius afresh
