@@ -38,7 +38,6 @@ from .periodic import ComplementCertificate, PeriodicSet, Violation, augmented_r
 from .problems import ProblemFile, parse_problem, parse_problem_dict, problem_to_dict
 from .recursion import (
     DEFAULT_MAX_GAP,
-    PeriodReport,
     RecursionContext,
     Window,
     build_context,
@@ -75,7 +74,6 @@ __all__ = [
     "LinearForm",
     "LinformError",
     "MAX_MODULUS",
-    "PeriodReport",
     "PeriodicSet",
     "ProblemFile",
     "ProblemFormatError",

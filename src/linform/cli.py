@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .cyclotomy import check_condition
@@ -197,21 +196,21 @@ def _cmd_period(args, problem):
     seed = _parse_seed(_need(args.seed, "--seed"))
     ctx = build_context(form, problem.domain, t)
     try:
-        report = detect_period(ctx, seed, max_gap=args.max_gap)
+        pset = detect_period(ctx, seed, max_gap=args.max_gap)
     except InconsistentWindowError as exc:
         return _inconsistent(exc, reflected)
-    cert = check_t_complementing(form, ctx.image, report.periodic_set, t)
+    cert = check_t_complementing(form, ctx.image, pset, t)
     out = {
         "verdict": cert.verdict,
-        "period": report.period,
-        "bound": report.bound,
-        "periodic_set": report.periodic_set.to_dict(),
-        "preperiod_checked": report.preperiod_checked,
+        "period": pset.modulus,
+        "bound": 1 << ctx.gap,
+        "periodic_set": pset.to_dict(),
+        "preperiod_checked": True,  # detect_period returns only purely periodic sets
         "reflected": reflected,
     }
     if cert.verdict:
-        return out, 0, f"verified complement of period {report.period}"
-    return out, 1, f"period {report.period} candidate fails at {_violation(out, cert, reflected)}"
+        return out, 0, f"verified complement of period {pset.modulus}"
+    return out, 1, f"period {pset.modulus} candidate fails at {_violation(out, cert, reflected)}"
 
 
 def _cmd_solve(args, problem):
@@ -227,7 +226,7 @@ def _cmd_solve(args, problem):
         target = TargetFunction.constant(_target_count(args, problem))
     if reflected:
         target = TargetFunction(target.default, {-n: c for n, c in target.overrides.items()})
-    problem_window = replace(candidate_bound(form, problem.domain, radius), target=target)
+    problem_window = candidate_bound(form, problem.domain, radius, target)
     result = solve_window(problem_window, max_nodes=args.max_nodes)
     out = {
         "status": result.status.value,
@@ -257,13 +256,13 @@ def _cmd_stabilize(args, problem):
     attempts = [{"N": a.N, "status": a.status, "detail": a.detail} for a in result.attempts]
     out: dict = {"verdict": result.found}
     if result.found:
-        out["period"] = result.report.period
-        out["bound"] = result.report.bound
+        out["period"] = result.periodic_set.modulus
+        out["bound"] = result.bound
         out["periodic_set"] = result.periodic_set.to_dict()
     out["attempts"] = attempts
     out["reflected"] = reflected
     if result.found:
-        return out, 0, f"stabilized at period {result.report.period}"
+        return out, 0, f"stabilized at period {result.periodic_set.modulus}"
     return out, 1, f"no verified complement within N <= {max_n}"
 
 

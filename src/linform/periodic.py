@@ -83,15 +83,16 @@ class Violation(NamedTuple):
 
 @dataclass(frozen=True)
 class ComplementCertificate:
-    verdict: bool
     period_checked: int
     first_violation: Violation | None
 
     def __post_init__(self) -> None:
         if self.period_checked < 1:
             raise ValueError("period_checked must be positive")
-        if self.verdict == (self.first_violation is not None):
-            raise ValueError("verdict must be true exactly when no violation was found")
+
+    @property
+    def verdict(self) -> bool:
+        return self.first_violation is None
 
 
 def _shifted_fold(
@@ -121,10 +122,10 @@ def check_t_complementing(
     if t == 0:
         # every class that is hit fails; report the one nearest zero
         if not folded:
-            return ComplementCertificate(True, period, None)
+            return ComplementCertificate(period, None)
         nearest = (r if 2 * r <= period else r - period for r in folded)
         n = min(nearest, key=lambda n: (abs(n), n < 0))
-        return ComplementCertificate(False, period, Violation(n, folded[n % period], t))
+        return ComplementCertificate(period, Violation(n, folded[n % period], t))
     # n = 0, 1, -1, 2, -2, ...: the first `period` of them fill an interval,
     # so they meet every residue class once; each n that passes uses up a
     # class that is hit, so a failure shows within len(folded) + 1 steps
@@ -132,5 +133,5 @@ def check_t_complementing(
         n = (k + 1) // 2 if k % 2 else -(k // 2)
         observed = folded.get(n % period, 0)
         if observed != t:
-            return ComplementCertificate(False, period, Violation(n, observed, t))
-    return ComplementCertificate(True, period, None)
+            return ComplementCertificate(period, Violation(n, observed, t))
+    return ComplementCertificate(period, None)

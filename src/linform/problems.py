@@ -37,18 +37,6 @@ class ProblemFile:
     t: int | None = None
     target: TargetFunction | None = None
 
-    @property
-    def u(self) -> tuple[int, ...]:
-        return self.form.coeffs
-
-    @property
-    def sets(self) -> tuple[tuple[int, ...], ...]:
-        return self.domain.sets
-
-    @property
-    def v(self) -> int | None:
-        return None if self.augmented is None else self.augmented.v
-
     def augmented_form(self) -> AugmentedForm:
         if self.augmented is None:
             raise ProblemFormatError('this command needs field "v" in the problem file')
@@ -162,9 +150,9 @@ def parse_problem_dict(document) -> ProblemFile:
 
 
 def problem_to_dict(problem: ProblemFile) -> dict:
-    document: dict = {"u": list(problem.u), "A": [list(s) for s in problem.sets]}
-    if problem.v is not None:
-        document["v"] = problem.v
+    document: dict = {"u": list(problem.form.coeffs), "A": [list(s) for s in problem.domain.sets]}
+    if problem.augmented is not None:
+        document["v"] = problem.augmented.v
     if problem.periodic is not None:
         document["B"] = problem.periodic.to_dict()
     if problem.t is not None:

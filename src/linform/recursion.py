@@ -84,20 +84,11 @@ class Window:
 class RecursionContext:
     """Everything the two step identities need, precomputed from (form, sets, t)."""
 
-    form: AugmentedForm
     t: int
     image: RepFunction
     gap: int
     forward_offsets: tuple[tuple[int, int], ...]
     backward_offsets: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class PeriodReport:
-    period: int
-    bound: int
-    periodic_set: PeriodicSet
-    preperiod_checked: bool
 
 
 def build_context(form: AugmentedForm, sets: SetTuple, t: int) -> RecursionContext:
@@ -119,7 +110,6 @@ def build_context(form: AugmentedForm, sets: SetTuple, t: int) -> RecursionConte
             offset = (g_max - value) // v
             backward[offset] = backward.get(offset, 0) + mult
     return RecursionContext(
-        form=form,
         t=t,
         image=rep,
         gap=gap,
@@ -230,9 +220,7 @@ def extend(ctx: RecursionContext, seed: Window, lo: int, hi: int) -> Window:
     return Window(lo, tuple(bits))
 
 
-def detect_period(
-    ctx: RecursionContext, seed: Window, max_gap: int = DEFAULT_MAX_GAP
-) -> PeriodReport:
+def detect_period(ctx: RecursionContext, seed: Window, max_gap: int = DEFAULT_MAX_GAP) -> PeriodicSet:
     """Extend forward until a gap-bit state repeats, then confirm pure periodicity.
 
     The repeat distance p satisfies p <= 2^gap by pigeonhole. The window is
@@ -240,7 +228,7 @@ def detect_period(
     with its translate n + p; a disagreement means the orbit is only
     eventually periodic, which no t-complementing set allows, so it raises
     InconsistentWindowError at the offending index. The returned set is
-    normalized and its minimal period divides p.
+    normalized: its modulus is the minimal period, which divides p.
     """
     _check_seed(ctx, seed, max_gap)
     gap = ctx.gap
@@ -292,7 +280,4 @@ def detect_period(
             )
 
     residues = sorted({(base + i) % period_len for i in range(period_len) if bits[i]})
-    pset = PeriodicSet(period_len, tuple(residues)).normalize()
-    return PeriodReport(
-        period=pset.modulus, bound=1 << gap, periodic_set=pset, preperiod_checked=True
-    )
+    return PeriodicSet(period_len, tuple(residues)).normalize()

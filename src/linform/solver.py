@@ -59,14 +59,14 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 
 from .checked import checked_add, checked_mul, checked_sub
 from .errors import InconsistentWindowError, LinformError
 from .forms import AugmentedForm, RepFunction, SetTuple, finite_counts, image_repfn
 from .periodic import PeriodicSet, check_t_complementing
-from .recursion import DEFAULT_MAX_GAP, PeriodReport, Window, build_context, detect_period
+from .recursion import DEFAULT_MAX_GAP, Window, build_context, detect_period
 
 DEFAULT_NODE_BUDGET = 10_000_000
 # What one window search may allocate: the radius N sizes a list of 2N + 1
@@ -115,7 +115,7 @@ class WindowProblem:
     """A window problem at radius N; the candidate interval follows from the image, N and v."""
 
     form: AugmentedForm
-    target: TargetFunction | None
+    target: TargetFunction
     N: int
     image: RepFunction
 
@@ -159,10 +159,13 @@ class StabilizeAttempt:
 
 @dataclass(frozen=True)
 class StabilizeResult:
-    """Either a verified periodic complement or the per-N record of why not."""
+    """Either a verified periodic complement or the per-N record of why not.
+
+    bound is 2^gap, which bounds the period of every complement.
+    """
 
     periodic_set: PeriodicSet | None
-    report: PeriodReport | None
+    bound: int
     attempts: tuple[StabilizeAttempt, ...]
 
     @property
@@ -170,13 +173,13 @@ class StabilizeResult:
         return self.periodic_set is not None
 
 
-def candidate_bound(form: AugmentedForm, sets: SetTuple, N: int) -> WindowProblem:
-    """Problem skeleton with the candidate interval for radius N; target left unset."""
+def candidate_bound(form: AugmentedForm, sets: SetTuple, N: int, target: TargetFunction) -> WindowProblem:
+    """The window problem for target at radius N, with its candidate interval."""
     if not form.is_normalized:
         raise ValueError("window problems require a normalized form (v >= 1)")
     if N < 0:
         raise ValueError("window radius N must be nonnegative")
-    return WindowProblem(form, None, N, image_repfn(form.base, sets))
+    return WindowProblem(form, target, N, image_repfn(form.base, sets))
 
 
 def solve_window(problem: WindowProblem, max_nodes: int = DEFAULT_NODE_BUDGET) -> SolveResult:
@@ -191,8 +194,6 @@ def _search(problem: WindowProblem, max_nodes: int, resume: bytes = b"") -> tupl
     wherever resume holds 0. That is exact only where those branches are
     refuted in this window, as for stabilize (see the module docstring).
     """
-    if problem.target is None:
-        raise ValueError("the problem has no target function; attach one first")
     if max_nodes < 1:
         raise ValueError("node budget must be positive")
     form, target, N, image = problem.form, problem.target, problem.N, problem.image
@@ -415,22 +416,22 @@ def stabilize(
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     ctx = build_context(form, sets, t)
+    bound = 1 << ctx.gap
     if ctx.gap == 0:
         # Gap zero forces a constant membership bit: the only infinite
         # candidate is B = Z.
         everything = PeriodicSet(1, (0,))
         if check_t_complementing(form, ctx.image, everything, t).verdict:
-            report = PeriodReport(period=1, bound=1, periodic_set=everything, preperiod_checked=False)
             attempt = StabilizeAttempt(0, "degenerate", "constant membership, B = Z verified")
-            return StabilizeResult(everything, report, (attempt,))
+            return StabilizeResult(everything, bound, (attempt,))
         attempt = StabilizeAttempt(0, "degenerate", "constant membership admits no infinite B")
-        return StabilizeResult(None, None, (attempt,))
+        return StabilizeResult(None, bound, (attempt,))
 
     attempts: list[StabilizeAttempt] = []
-    skeleton = WindowProblem(form, TargetFunction.constant(t), 0, ctx.image)
+    target = TargetFunction.constant(t)
     paths: dict[int, bytes] = {}  # witness paths of the last v radii
     for radius in range(1, max_n + 1):
-        problem = replace(skeleton, N=radius)
+        problem = WindowProblem(form, target, radius, ctx.image)
         result, paths[radius] = _search(problem, max_nodes, paths.pop(radius - form.v, b""))
         if result.status is SolveStatus.UNSAT:
             # Window constraints only grow with N, so no larger radius can succeed.
@@ -444,20 +445,20 @@ def stabilize(
         start = -(ctx.gap // 2)
         seed = Window(start, tuple(1 if start + i in members else 0 for i in range(ctx.gap)))
         try:
-            report = detect_period(ctx, seed, max_gap=max_gap)
+            pset = detect_period(ctx, seed, max_gap=max_gap)
         except InconsistentWindowError as exc:
             attempts.append(StabilizeAttempt(radius, "inconsistent", str(exc)))
             continue
-        cert = check_t_complementing(form, ctx.image, report.periodic_set, t)
+        cert = check_t_complementing(form, ctx.image, pset, t)
         if cert.verdict:
-            attempts.append(StabilizeAttempt(radius, "verified", f"period {report.period}"))
-            return StabilizeResult(report.periodic_set, report, tuple(attempts))
+            attempts.append(StabilizeAttempt(radius, "verified", f"period {pset.modulus}"))
+            return StabilizeResult(pset, bound, tuple(attempts))
         assert cert.first_violation is not None
         attempts.append(
             StabilizeAttempt(
                 radius,
                 "rejected",
-                f"candidate period {report.period} fails at n = {cert.first_violation.n}",
+                f"candidate period {pset.modulus} fails at n = {cert.first_violation.n}",
             )
         )
-    return StabilizeResult(None, None, tuple(attempts))
+    return StabilizeResult(None, bound, tuple(attempts))

@@ -12,7 +12,6 @@ import math
 import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from io import StringIO
 from pathlib import Path
 
@@ -120,10 +119,9 @@ def test_criterion_4_solver_agrees_with_subset_enumeration():
     for pair in CORPUS:
         for radius in range(0, 5):
             for t in (pair.t, pair.t + 1):
-                skeleton = candidate_bound(pair.form(), pair.set_tuple(), radius)
-                if skeleton.candidate_hi - skeleton.candidate_lo + 1 > 22:
+                problem = candidate_bound(pair.form(), pair.set_tuple(), radius, TargetFunction.constant(t))
+                if problem.candidate_hi - problem.candidate_lo + 1 > 22:
                     continue
-                problem = replace(skeleton, target=TargetFunction.constant(t))
                 verdict = solve_window(problem).status is SolveStatus.SOLVED
                 truth = oracle_window_satisfiable(
                     pair.u,
@@ -131,8 +129,8 @@ def test_criterion_4_solver_agrees_with_subset_enumeration():
                     pair.sets,
                     lambda n: t,
                     radius,
-                    skeleton.candidate_lo,
-                    skeleton.candidate_hi,
+                    problem.candidate_lo,
+                    problem.candidate_hi,
                 )
                 assert verdict == truth, (pair.name, radius, t)
                 compared += 1

@@ -48,6 +48,7 @@ GOLDEN_RUNS = [
     ("period_pair.json", 0, ["period", "--input", data("extend.json"), "--seed", "0:1"]),
     ("solve_pair.json", 0, ["solve", "--input", data("solve.json"), "-N", "2"]),
     ("stabilize_pair.json", 0, ["stabilize", "--input", data("extend.json")]),
+    ("stabilize_degenerate.json", 0, ["stabilize", "--input", data("degenerate.json")]),
     ("image_psi.tsv", 0, ["image", "--input", data("psi.json"), "--format", "tsv"]),
     ("check_gapset.tsv", 1, ["check", "--input", data("gapset.json"), "--format", "tsv"]),
 ]
@@ -193,6 +194,51 @@ def counting_documents(draw):
     return {"u": u, "A": A}
 
 
+@st.composite
+def window_documents(draw):
+    """Counting documents with v, B, t and f, mostly small enough to search."""
+    if draw(st.integers(min_value=0, max_value=3)):
+        h = draw(st.integers(min_value=1, max_value=2))
+        u = [draw(st.integers(min_value=-3, max_value=3).filter(bool)) for _ in range(h)]
+        elements = st.integers(min_value=-3, max_value=3)
+        document = {"u": u, "A": [draw(st.lists(elements, min_size=1, max_size=4, unique=True)) for _ in u]}
+    else:
+        document = draw(counting_documents())
+    # each field is left out, or out of range, now and then
+    often = st.integers(min_value=0, max_value=7).map(bool)
+    small = st.integers(min_value=-1, max_value=6)
+    if draw(often):
+        document["v"] = draw(st.integers(min_value=-3, max_value=3))
+    if draw(often):
+        modulus = draw(small)
+        residues = st.integers(min_value=0, max_value=max(modulus - 1, 0)) if draw(often) else small
+        document["B"] = {"modulus": modulus, "residues": draw(st.lists(residues, max_size=4, unique=True))}
+    if draw(often):
+        document["t"] = draw(st.integers(min_value=-1, max_value=3))
+    if draw(st.booleans()):
+        keys = st.integers(min_value=-4, max_value=4).map(str)
+        document["f"] = {
+            "default": draw(st.sampled_from(("inf", 0, 1, 2))),
+            "overrides": draw(st.dictionaries(keys, st.integers(min_value=0, max_value=2), max_size=3)),
+        }
+    return document
+
+
+def classified(argv) -> None:
+    """Run argv and require an exit code of 0, 1 or 2 with its usual output, and no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert "internal error" not in err.getvalue()
+    if code == 2 and not out.getvalue():
+        assert err.getvalue().startswith("error:")
+    else:  # a verdict, or a solve cut short by its node budget
+        report = json.loads(out.getvalue())
+        assert code < 2 or report["status"] == "resource_limit"
+
+
 class TestGeneratedDocuments:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -209,17 +255,33 @@ class TestGeneratedDocuments:
             ["modrep", "-m", str(m)],
             ["cyclotomy", "-m", str(m), "-t", str(t)],
         ):
-            out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                code = main([*argv, "--input", str(path)])
-            assert code in (0, 1, 2)
-            assert "Traceback" not in err.getvalue()
-            assert "internal error" not in err.getvalue()
-            if code == 2:
-                assert out.getvalue() == ""
-                assert err.getvalue().startswith("error:")
-            else:
-                json.loads(out.getvalue())
+            classified([*argv, "--input", str(path)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        window_documents(),
+        st.integers(min_value=-4, max_value=4),
+        st.text(alphabet="01", min_size=1, max_size=8),
+        st.integers(min_value=-1, max_value=12),
+        st.integers(min_value=-1, max_value=12),
+        st.integers(min_value=-1, max_value=4),
+        st.integers(min_value=-1, max_value=3),
+    )
+    def test_window_commands_end_in_a_classified_outcome(
+        self, tmp_path_factory, document, start, bits, below, above, radius, t
+    ):
+        path = tmp_path_factory.mktemp("generated") / "problem.json"
+        path.write_text(json.dumps(document))
+        seed = f"--seed={start}:{bits}"
+        for argv in (
+            ["check"],
+            ["extend", seed, f"--from={start - below}", f"--to={start + len(bits) - 1 + above}"],
+            ["period", seed, "--max-d", "6"],
+            ["solve", f"-N={radius}", "--max-nodes", "2000"],
+            ["solve", f"-N={radius}", f"-t={t}", "--max-nodes", "2000"],
+            ["stabilize", f"-N={radius}", "--max-nodes", "2000", "--max-d", "6"],
+        ):
+            classified([*argv, "--input", str(path)])
 
 
 class TestImageBuiltOnce:

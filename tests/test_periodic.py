@@ -234,12 +234,6 @@ class TestCheckTComplementing:
             (0, "degenerate", "constant membership admits no infinite B")
         ]
 
-    def test_certificate_consistency_invariant(self):
-        with pytest.raises(ValueError):
-            from linform import ComplementCertificate, Violation
-
-            ComplementCertificate(True, 2, Violation(0, 0, 1))
-
 
 class TestAgainstDirectCounts:
     @given(periodic_sets(max_modulus=6), st.integers(min_value=-9, max_value=9))

@@ -36,18 +36,18 @@ def parse(document) -> ProblemFile:
 class TestValidDocuments:
     def test_full_document(self):
         problem = parse(FULL)
-        assert problem.u == (1,)
-        assert problem.v == 1
-        assert problem.sets == ((0, 1),)
+        assert problem.form.coeffs == (1,)
+        assert problem.augmented.v == 1
+        assert problem.domain.sets == ((0, 1),)
         assert problem.periodic == PeriodicSet(2, (0,))
         assert problem.t == 1
         assert problem.target is None
 
     def test_minimal_document(self):
         problem = parse({"u": [2, -3], "A": [[0, 1], [5]]})
-        assert problem.u == (2, -3)
-        assert problem.sets == ((0, 1), (5,))
-        assert problem.v is None
+        assert problem.form.coeffs == (2, -3)
+        assert problem.domain.sets == ((0, 1), (5,))
+        assert problem.augmented is None
         assert problem.augmented_form is not None
         with pytest.raises(ProblemFormatError, match='needs field "v"'):
             problem.augmented_form()
@@ -58,7 +58,7 @@ class TestValidDocuments:
         assert problem.augmented == AugmentedForm(LinearForm((1,)), 1)
 
     def test_elements_are_sorted(self):
-        assert parse({"u": [1], "A": [[3, 1, 2]]}).sets == ((1, 2, 3),)
+        assert parse({"u": [1], "A": [[3, 1, 2]]}).domain.sets == ((1, 2, 3),)
 
     def test_target_with_overrides(self):
         problem = parse({"u": [1], "A": [[0]], "f": {"default": 1, "overrides": {"-2": 0}}})

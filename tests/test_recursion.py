@@ -291,31 +291,28 @@ class TestExtendAgainstOracle:
 class TestDetectPeriod:
     def test_alternation(self):
         ctx = ctx_for((1,), 1, ((0, 1),))
-        report = detect_period(ctx, Window(0, (1,)))
-        assert report.period == 2
-        assert report.bound == 2
-        assert report.periodic_set.modulus == 2
-        assert report.periodic_set.residues == (0,)
-        assert report.preperiod_checked is True
+        pset = detect_period(ctx, Window(0, (1,)))
+        assert pset.modulus == 2
+        assert 1 << ctx.gap == 2
+        assert pset.residues == (0,)
 
     def test_three_term_relation(self):
         ctx = ctx_for((1,), 1, ((0, 1, 2),))
-        report = detect_period(ctx, Window(0, (1, 0)))
-        assert report.period == 3
-        assert report.bound == 4
-        assert report.periodic_set == type(report.periodic_set)(3, (0,))
+        pset = detect_period(ctx, Window(0, (1, 0)))
+        assert pset.modulus == 3
+        assert 1 << ctx.gap == 4
+        assert pset == type(pset)(3, (0,))
 
     def test_two_apart_seed_both_ones(self):
         # chi(n) = 1 - chi(n-2) from seed (1,1) produces 1,1,0,0,1,1,...
         # which is the mod-4 pair {0,1}; that set really does complement.
         ctx = ctx_for((1,), 1, ((0, 2),))
-        report = detect_period(ctx, Window(0, (1, 1)))
-        assert report.period == 4
-        assert report.bound == 4
-        assert report.periodic_set.modulus == 4
-        assert report.periodic_set.residues == (0, 1)
+        pset = detect_period(ctx, Window(0, (1, 1)))
+        assert pset.modulus == 4
+        assert 1 << ctx.gap == 4
+        assert pset.residues == (0, 1)
         image = image_repfn(LinearForm((1,)), SetTuple(((0, 2),)))
-        cert = check_t_complementing(AugmentedForm(LinearForm((1,)), 1), image, report.periodic_set, 1)
+        cert = check_t_complementing(AugmentedForm(LinearForm((1,)), 1), image, pset, 1)
         assert cert.verdict is True
 
     def test_detection_alone_is_not_sufficient(self):
@@ -324,10 +321,10 @@ class TestDetectPeriod:
         form = AugmentedForm(LinearForm((1,)), 2)
         sets = SetTuple(((0, 2),))
         ctx = build_context(form, sets, 1)
-        report = detect_period(ctx, Window(0, (1,)))
-        assert report.periodic_set.modulus == 2
-        assert report.periodic_set.residues == (0,)
-        cert = check_t_complementing(form, image_repfn(form.base, sets), report.periodic_set, 1)
+        pset = detect_period(ctx, Window(0, (1,)))
+        assert pset.modulus == 2
+        assert pset.residues == (0,)
+        cert = check_t_complementing(form, image_repfn(form.base, sets), pset, 1)
         assert cert.verdict is False
         assert cert.first_violation.n == 1
 
@@ -361,10 +358,10 @@ class TestDetectPeriod:
         for pair in corpus:
             ctx = build_context(pair.form(), pair.set_tuple(), pair.t)
             seed = pair.true_window(0, max(ctx.gap, 1))
-            report = detect_period(ctx, seed)
-            assert 1 <= report.period <= report.bound == 2**ctx.gap, pair.name
+            pset = detect_period(ctx, seed)
+            assert 1 <= pset.modulus <= 2**ctx.gap, pair.name
             b = pair.periodic().normalize()
-            assert report.periodic_set == b, pair.name
+            assert pset == b, pair.name
 
     def test_failed_step_reported_at_its_index(self):
         # chi(n) = 1 - chi(n-1) - chi(n-2) has no bit after the seed (1, 1)
@@ -386,14 +383,14 @@ class TestDetectPeriod:
         # the bit stepped from the repeated state (1 at index 3) differs
         # from it, but lies past the repeat, where no check reaches.
         ctx = ctx_for((1,), 2, ((1, 2, 4),))
-        report = detect_period(ctx, Window(0, (1, 0)))
-        assert report.period == 2
-        assert report.periodic_set.residues == (0,)
+        pset = detect_period(ctx, Window(0, (1, 0)))
+        assert pset.modulus == 2
+        assert pset.residues == (0,)
 
     @given(st.integers(min_value=-8, max_value=8))
     def test_seed_position_does_not_change_the_set(self, start):
         pair = CORPUS[4]  # x+y over {0,2}, complement {0,1} mod 4
         ctx = build_context(pair.form(), pair.set_tuple(), pair.t)
         seed = pair.true_window(start, ctx.gap)
-        report = detect_period(ctx, seed)
-        assert report.periodic_set == pair.periodic().normalize()
+        pset = detect_period(ctx, seed)
+        assert pset == pair.periodic().normalize()

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import random
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -41,9 +40,11 @@ from corpus import CORPUS
 from oracles import oracle_window_dfs, oracle_window_satisfiable
 
 
+ONE = TargetFunction.constant(1)
+
+
 def window_problem(u, v, sets, N, target):
-    skeleton = candidate_bound(AugmentedForm(LinearForm(u), v), SetTuple(sets), N)
-    return replace(skeleton, target=target)
+    return candidate_bound(AugmentedForm(LinearForm(u), v), SetTuple(sets), N, target)
 
 
 class TestTargetFunction:
@@ -70,31 +71,31 @@ class TestTargetFunction:
 
 class TestCandidateBound:
     def test_unit_v(self):
-        p = candidate_bound(AugmentedForm(LinearForm((1,)), 1), SetTuple(((0, 1),)), 5)
+        p = candidate_bound(AugmentedForm(LinearForm((1,)), 1), SetTuple(((0, 1),)), 5, ONE)
         assert p.g_star == 1
         assert (p.candidate_lo, p.candidate_hi) == (-6, 6)
 
     def test_v_two_rounds_inward(self):
-        p = candidate_bound(AugmentedForm(LinearForm((1,)), 2), SetTuple(((0, 1),)), 3)
+        p = candidate_bound(AugmentedForm(LinearForm((1,)), 2), SetTuple(((0, 1),)), 3, ONE)
         assert p.g_star == 1
         assert (p.candidate_lo, p.candidate_hi) == (-2, 2)
 
     def test_degenerate_point(self):
-        p = candidate_bound(AugmentedForm(LinearForm((1,)), 1), SetTuple(((0,),)), 0)
+        p = candidate_bound(AugmentedForm(LinearForm((1,)), 1), SetTuple(((0,),)), 0, ONE)
         assert p.g_star == 0
         assert (p.candidate_lo, p.candidate_hi) == (0, 0)
 
     def test_g_star_covers_both_extremes(self):
-        p = candidate_bound(AugmentedForm(LinearForm((2, -3)), 1), SetTuple(((0, 1), (0, 1))), 0)
+        p = candidate_bound(AugmentedForm(LinearForm((2, -3)), 1), SetTuple(((0, 1), (0, 1))), 0, ONE)
         assert p.g_star == 3
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
-            candidate_bound(AugmentedForm(LinearForm((1,)), -1), SetTuple(((0,),)), 1)
+            candidate_bound(AugmentedForm(LinearForm((1,)), -1), SetTuple(((0,),)), 1, ONE)
 
     def test_rejects_negative_radius(self):
         with pytest.raises(ValueError):
-            candidate_bound(AugmentedForm(LinearForm((1,)), 1), SetTuple(((0,),)), -1)
+            candidate_bound(AugmentedForm(LinearForm((1,)), 1), SetTuple(((0,),)), -1, ONE)
 
 
 class TestSolveWindow:
@@ -124,11 +125,6 @@ class TestSolveWindow:
         assert result.status is SolveStatus.RESOURCE_LIMIT
         assert result.witness is None
         assert result.nodes_explored >= 1
-
-    def test_requires_target(self):
-        skeleton = candidate_bound(AugmentedForm(LinearForm((1,)), 1), SetTuple(((0, 1),)), 1)
-        with pytest.raises(ValueError, match="no target"):
-            solve_window(skeleton)
 
     def test_shifted_value_overflow_is_rejected(self):
         # v*b and the image fit signed 64-bit, but 2**62 - 1 + v at b = 1 does not
@@ -221,10 +217,7 @@ class TestSolveWindow:
 
     def test_corpus_windows_solve(self, corpus):
         for pair in corpus:
-            problem = replace(
-                candidate_bound(pair.form(), pair.set_tuple(), 3),
-                target=TargetFunction.constant(pair.t),
-            )
+            problem = candidate_bound(pair.form(), pair.set_tuple(), 3, TargetFunction.constant(pair.t))
             result = solve_window(problem)
             assert result.status is SolveStatus.SOLVED, pair.name
             for n in range(-3, 4):
@@ -369,7 +362,7 @@ class TestStabilize:
             image = image_repfn(pair.form().base, pair.set_tuple())
             cert = check_t_complementing(pair.form(), image, result.periodic_set, pair.t)
             assert cert.verdict is True, pair.name
-            assert result.report.period <= result.report.bound, pair.name
+            assert result.periodic_set.modulus <= result.bound, pair.name
 
     def test_unsat_stops_immediately(self):
         result = stabilize(AugmentedForm(LinearForm((1,)), 1), SetTuple(((0, 1),)), 3, 5)
@@ -416,7 +409,7 @@ class TestStabilize:
         assert result.found is True
         assert result.periodic_set == PeriodicSet(1, (0,))
         assert result.attempts[0].status == "degenerate"
-        assert result.report.preperiod_checked is False
+        assert result.bound == 1
 
     def test_degenerate_gap_no_complement(self):
         result = stabilize(AugmentedForm(LinearForm((1,)), 2), SetTuple(((0, 1),)), 2, 3)
@@ -437,7 +430,7 @@ def reference_stabilize(form, sets, t, max_n, max_nodes):
     ctx = build_context(form, sets, t)
     attempts, solves = [], []
     for radius in range(1, max_n + 1):
-        problem = replace(candidate_bound(form, sets, radius), target=TargetFunction.constant(t))
+        problem = candidate_bound(form, sets, radius, TargetFunction.constant(t))
         result = solve_window(problem, max_nodes=max_nodes)
         solves.append((radius, result.status, result.witness))
         if result.status is not SolveStatus.SOLVED:
@@ -446,13 +439,13 @@ def reference_stabilize(form, sets, t, max_n, max_nodes):
         start = -(ctx.gap // 2)
         seed = Window(start, tuple(int(start + i in result.witness) for i in range(ctx.gap)))
         try:
-            report = detect_period(ctx, seed)
+            pset = detect_period(ctx, seed)
         except InconsistentWindowError:
             attempts.append((radius, "inconsistent"))
             continue
-        if check_t_complementing(form, ctx.image, report.periodic_set, t).verdict:
+        if check_t_complementing(form, ctx.image, pset, t).verdict:
             attempts.append((radius, "verified"))
-            return report.periodic_set, attempts, solves
+            return pset, attempts, solves
         attempts.append((radius, "rejected"))
     return None, attempts, solves
 
@@ -525,7 +518,7 @@ class TestResume:
         form, sets = AugmentedForm(LinearForm((1, 3)), 3), SetTuple(((0, 1, 2), (0, 1, 2)))
         paths, nodes = {}, 0
         for radius in range(1, 13):
-            problem = replace(candidate_bound(form, sets, radius), target=TargetFunction.constant(1))
+            problem = candidate_bound(form, sets, radius, ONE)
             result, paths[radius] = linform.solver._search(problem, 100, paths.pop(radius - 3, b""))
             afresh = solve_window(problem)
             assert (result.status, result.witness) == (afresh.status, afresh.witness), radius
