@@ -29,6 +29,9 @@ from .errors import LinformError
 
 # Largest modulus for the dense residue vectors of modular_repfn and check_condition.
 MAX_MODULUS = 10_000_000
+# Most values a partial image may hold: a dict of a million counts takes
+# about 100 MB. The largest image of the tests and the benchmark has 4,096.
+MAX_IMAGE_SIZE = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -174,15 +177,22 @@ def image_repfn(form: LinearForm, sets: SetTuple) -> RepFunction:
     partial sums. A product ui*ai or a prefix sum u1*a1 + ... + uk*ak leaves
     the signed 64-bit range for some tuple exactly when one of those does, so
     this raises IntegerOverflowError exactly then, and the convolution itself
-    runs on plain ints.
+    runs on plain ints. A partial image holds at most min(|A1|...|Ak|,
+    diameter + 1) values; above MAX_IMAGE_SIZE that refuses before the
+    coordinate is convolved.
     """
     if len(sets) != form.h:
         raise ValueError(f"form has {form.h} coordinates, got {len(sets)} sets")
     counts = {0: 1}
     lo = hi = 0
+    tuples = 1
     for u, elements in zip(form.coeffs, sets.sets):
         low, high = sorted((checked_mul(u, elements[0]), checked_mul(u, elements[-1])))
         lo, hi = checked_add(lo, low), checked_add(hi, high)
+        tuples *= len(elements)
+        size = min(tuples, hi - lo + 1)
+        if size > MAX_IMAGE_SIZE:
+            raise LinformError(f"image of up to {size} values exceeds the limit {MAX_IMAGE_SIZE}")
         steps = [u * a for a in elements]
         folded: dict[int, int] = {}
         get = folded.get

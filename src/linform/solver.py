@@ -41,6 +41,19 @@ stack keeps its own int, so backtracking restores nothing. The per-candidate
 constants, the saved ints and the window-wide digit tables they are cut
 from are charged against MAX_PACKED_BITS before any is built.
 
+The ascending order fills every pattern of the window's free left edge
+before any count there is final, so it can take a hundred thousand nodes to
+refute a window whose reflection it refutes in two thousand. So once the
+search has spent DECIDE_AFTER nodes per candidate, it asks _decide, once,
+whether the window has a solution at all. _decide branches fail first, on
+the position short of its target with the fewest live candidates, which
+does not depend on which end is free. If it finds none, the search ends
+unsat; if it finds one, or runs out of its own budget (as many nodes as the
+search had spent when it asked), the canonical search goes on from where it
+stopped, so every witness is still the canonical one. The node budget binds
+the canonical search alone, so every verdict it reached within a budget
+before, it reaches again; the decider's nodes count in the result.
+
 stabilize chains the pieces: it solves growing windows with the constant-t
 target, feeds each witness's central bits to the period detector, and
 accepts the first candidate set that passes full verification. With one
@@ -78,10 +91,22 @@ MAX_CANDIDATE_SPAN = 1_000_000
 # candidate, seven constants and one saved state of at most one band each, a
 # band being min(diameter + 1, 2N + 1) digits, and per window position two
 # digit tables, each built through a string of one byte per bit. Checked
-# before any of them is built.
+# before any of them is built. The decider (_decide) is charged on its own,
+# before it builds anything: per candidate, its int of two digits per window
+# position and one branch on its stack (counts of one digit and reach of
+# two), and the live lists of those branches, at most 64-bit pointers to
+# half the candidates per candidate. Where that is over the limit, the
+# canonical search runs without it.
 PACKED_PER_CANDIDATE = 8
 PACKED_PER_POSITION = 16
+DECIDE_PER_CANDIDATE = 5
 MAX_PACKED_BITS = 1 << 30
+# Nodes per candidate after which the canonical search asks _decide whether
+# the window has a solution at all. Most windows finish well before this and
+# keep their trees; in a replay of the search benchmark, any trigger from 16
+# to 256 gave the same throughput, and those of 64 and below slowed the
+# median job, which finishes early anyway.
+DECIDE_AFTER = 128
 
 
 @dataclass(frozen=True)
@@ -187,6 +212,35 @@ def solve_window(problem: WindowProblem, max_nodes: int = DEFAULT_NODE_BUDGET) -
     return _search(problem, max_nodes)[0]
 
 
+def _digit_width(mass: int) -> int:
+    """Bits per packed count: the mass bounds every count, and a spare top bit takes the carry tests."""
+    return (mass + 1).bit_length() + 1
+
+
+def _window_digits(required: list[int | None], width: int, digit) -> int:
+    """digit(f(n)) per window position, 0 where f(n) is None; required lists f from -N, the lowest digit."""
+    strings = {need: format(0 if need is None else digit(need), f"0{width}b") for need in set(required)}
+    return int("".join([strings[need] for need in reversed(required)]), 2)
+
+
+def _image_digits(support: list[tuple[int, int]], values: list[int], width: int, shift: int, lo: int, hi: int) -> int:
+    """The image shifted by shift at positions lo..hi, lo in the lowest digit; values lists support's values."""
+    digits = 0
+    for value, mult in support[bisect_left(values, lo - shift) : bisect_left(values, hi + 1 - shift)]:
+        digits |= mult << width * (value + shift - lo)
+    return digits
+
+
+def _contributing(problem: WindowProblem) -> range:
+    """The candidates with a representation landing inside the window; the rest are excluded."""
+    N, v, image = problem.N, problem.form.v, problem.image
+    lo = max(problem.candidate_lo, -((N + image.g_max) // v))
+    hi = min(problem.candidate_hi, (N - image.g_min) // v)
+    if hi - lo > MAX_CANDIDATE_SPAN:
+        raise LinformError(f"candidate span {hi - lo} exceeds the limit {MAX_CANDIDATE_SPAN}")
+    return range(lo, hi + 1)
+
+
 def _search(problem: WindowProblem, max_nodes: int, resume: bytes = b"") -> tuple[SolveResult, bytes]:
     """solve_window's search, which also returns the witness path: per candidate, 1 if included.
 
@@ -202,21 +256,12 @@ def _search(problem: WindowProblem, max_nodes: int, resume: bytes = b"") -> tupl
     v, g_min, g_max = form.v, image.g_min, image.g_max
     diam = g_max - g_min
 
-    # Only candidates with a representation landing inside the window matter;
-    # the rest of the candidate interval is canonically excluded.
-    contrib_lo = max(problem.candidate_lo, -((N + g_max) // v))
-    contrib_hi = min(problem.candidate_hi, (N - g_min) // v)
-    if contrib_hi - contrib_lo > MAX_CANDIDATE_SPAN:
-        raise LinformError(
-            f"candidate span {contrib_hi - contrib_lo} exceeds the limit {MAX_CANDIDATE_SPAN}"
-        )
-    candidates = range(contrib_lo, contrib_hi + 1)
-    last = len(candidates)
+    candidates = _contributing(problem)
+    contrib_lo, last = candidates.start, len(candidates)
     # A count at n sums image values n - v*b over distinct b, so it never
-    # exceeds the image's mass; a digit of width bits holds it with a spare
-    # top bit for the carry tests.
+    # exceeds the image's mass.
     mass = image.total()
-    width = (mass + 1).bit_length() + 1
+    width = _digit_width(mass)
     widest = min(diam + 1, 2 * N + 1)  # digits in a band
     packed = width * (PACKED_PER_CANDIDATE * last * widest + PACKED_PER_POSITION * (2 * N + 1))
     if packed > MAX_PACKED_BITS:
@@ -225,7 +270,7 @@ def _search(problem: WindowProblem, max_nodes: int, resume: bytes = b"") -> tupl
         # every shifted value g + v*b lies between these two sums, so checking
         # them checks all
         checked_add(g_min, checked_mul(v, contrib_lo))
-        checked_add(g_max, checked_mul(v, contrib_hi))
+        checked_add(g_max, checked_mul(v, candidates[-1]))
 
     required = [target.at(n) for n in range(-N, N + 1)]
     support = image.support()
@@ -259,10 +304,7 @@ def _search(problem: WindowProblem, max_nodes: int, resume: bytes = b"") -> tupl
     targets = set(required)
 
     def window_table(digit) -> bytes:
-        # one digit per window position, position -N in the lowest bits
-        strings = {need: format(0 if need is None else digit(need), f"0{width}b") for need in targets}
-        digits = int("".join([strings[need] for need in reversed(required)]), 2)
-        return digits.to_bytes((width * (2 * N + 1) + 7) // 8, "little")
+        return _window_digits(required, width, digit).to_bytes((width * (2 * N + 1) + 7) // 8, "little")
 
     over_table = window_table(lambda need: half - 1 - min(need, cap))
     final_table = window_table(lambda need: (1 << width) - 1)
@@ -290,9 +332,8 @@ def _search(problem: WindowProblem, max_nodes: int, resume: bytes = b"") -> tupl
         end = N if i == last - 1 else lo + v - 1  # the last position final once i is decided
         over = cut(over_table, base, stop)
         final = cut(final_table, base, min(end, stop))
-        mask = floor = floor_bits = 0
-        for value, mult in support[bisect_left(values, base - vb) : bisect_left(values, stop + 1 - vb)]:
-            mask |= mult << width * (value + vb - base)
+        mask = _image_digits(support, values, width, vb, base, stop)
+        floor = floor_bits = 0
         for value, k in low:
             n = value + vb  # a floor where the count is final is implied by the final test
             if base <= n <= stop and n > end and (required[n + N] or 0) > k:
@@ -348,35 +389,53 @@ def _search(problem: WindowProblem, max_nodes: int, resume: bytes = b"") -> tupl
     taken = bytearray(last)
     pending: list[tuple[int, int]] = []  # exclude branches still to take
     spent = i = counts = 0  # spent + i nodes before the node at i
-    stop = min(last, max_nodes)
+    # Past DECIDE_AFTER nodes per candidate, _decide is asked once, if its
+    # packed ints and the live lists on its stack fit the budget: until then
+    # the loop runs to limit. Its nodes, decided, are outside the budget.
+    limit = max_nodes
+    if DECIDE_PER_CANDIDATE * last * (2 * N + 1) * width + 32 * last * last <= MAX_PACKED_BITS:
+        limit = min(max_nodes, DECIDE_AFTER * last)
+    stop = min(last, limit)
+    decided = 0
     include, along = True, len(resume)
-    while i < stop:
-        mask, over, include_test, include_ok, exclude_add, exclude_test, exclude_ok, shift = plan[i]
-        if include and (i >= along or resume[i]):
-            if mask:  # an idle candidate's exclude subtree is its include subtree
-                pending.append((i, counts))
-            counts += mask
-            if (counts + over) & include_test == include_ok:
-                taken[i] = 1
+    while True:
+        while i < stop:
+            mask, over, include_test, include_ok, exclude_add, exclude_test, exclude_ok, shift = plan[i]
+            if include and (i >= along or resume[i]):
+                if mask:  # an idle candidate's exclude subtree is its include subtree
+                    pending.append((i, counts))
+                counts += mask
+                if (counts + over) & include_test == include_ok:
+                    taken[i] = 1
+                    counts >>= shift
+                    i += 1
+                    continue
+            elif (counts + exclude_add) & exclude_test == exclude_ok:
                 counts >>= shift
                 i += 1
+                include = True
                 continue
-        elif (counts + exclude_add) & exclude_test == exclude_ok:
-            counts >>= shift
-            i += 1
-            include = True
-            continue
-        if not pending:
-            return SolveResult(SolveStatus.UNSAT, None, spent + i + 1), b""
-        back, counts = pending.pop()
-        taken[back] = 0
-        spent += i + 1 - back
-        i, stop = back, max_nodes - spent
-        if stop > last:
-            stop = last
-        include, along = False, 0
-    if i < last:
-        return SolveResult(SolveStatus.RESOURCE_LIMIT, None, max_nodes + 1), b""
+            if not pending:
+                return SolveResult(SolveStatus.UNSAT, None, spent + i + 1 + decided), b""
+            back, counts = pending.pop()
+            taken[back] = 0
+            spent += i + 1 - back
+            i, stop = back, limit - spent
+            if stop > last:
+                stop = last
+            include, along = False, 0
+        if i == last:
+            break
+        if limit == max_nodes:
+            return SolveResult(SolveStatus.RESOURCE_LIMIT, None, max_nodes + 1), b""
+        # Stalled: the decider may spend as many nodes as the search has. A
+        # refutation ends the search here; otherwise it goes on from where it
+        # stopped, to the same witness or verdict as without the decider.
+        solvable, decided = _decide(problem, spent + i)
+        if solvable is False:
+            return SolveResult(SolveStatus.UNSAT, None, spent + i + decided), b""
+        limit = max_nodes
+        stop = min(last, limit - spent)
 
     # Re-verify the witness by counting each position afresh, apart from the search.
     witness = tuple(compress(candidates, taken))
@@ -384,7 +443,85 @@ def _search(problem: WindowProblem, max_nodes: int, resume: bytes = b"") -> tupl
         need = target.at(n)
         if need is not None and observed != need:
             raise AssertionError(f"witness failed re-verification at {n}")
-    return SolveResult(SolveStatus.SOLVED, witness, spent + last), bytes(taken)
+    return SolveResult(SolveStatus.SOLVED, witness, spent + last + decided), bytes(taken)
+
+
+def _decide(problem: WindowProblem, max_nodes: int) -> tuple[bool | None, int]:
+    """Whether the window has a solution, or None once max_nodes are spent; and the nodes visited.
+
+    Fail first (Haralick and Elliott, "Increasing tree search efficiency for
+    constraint satisfaction problems", 1980; Knuth's column choice in
+    "Dancing Links", 2000): each node branches, include first, on the lowest
+    live candidate covering the position short of its target that the
+    fewest live candidates cover, a choice that does not depend on which end
+    of the window is free. The counts of the constrained positions sit in
+    one int per branch, in digits as wide as _search's. A node drops every
+    live candidate whose include would overcount (counts only grow along a
+    branch, so it stays out), fails if the counts plus every live image
+    leave a position short, and succeeds when every position is on target.
+    It finds no witness.
+    """
+    N, image, v = problem.N, problem.image, problem.form.v
+    mass = image.total()
+    width = _digit_width(mass)
+    half, cap = 1 << (width - 1), mass + 1
+    # goal holds the targets, a target above the mass being as unreachable as
+    # mass + 1, and unit a 1 per constrained position; an unconstrained
+    # position has no digit in keep, so no candidate image reaches it.
+    required = [problem.target.at(n) for n in range(-N, N + 1)]
+    goal = _window_digits(required, width, lambda need: min(need, cap))
+    unit = _window_digits(required, width, lambda need: 1)
+    keep, high = unit * ((1 << width) - 1), unit << (width - 1)
+    over = high - unit - goal  # sets a digit's top bit exactly when its count exceeds the target
+    floor = high - goal  # sets it exactly when the count reaches the target
+    # Each candidate is one int: its image in the digits of the window, and
+    # a 1 per position it touches in the same digits above them, so a sum of
+    # candidates holds their images below split and their coverage above.
+    # Each is built from the values that land in the window, as a band of
+    # _search is; adding unit * (half - 1) sets the top bit of a digit
+    # exactly where it is not 0.
+    split, touches = keep.bit_length(), unit * (half - 1)
+    support = image.support()
+    values = [value for value, _ in support]
+    live = []
+    for b in _contributing(problem):
+        start = max(image.g_min + v * b, -N)
+        if digits := _image_digits(support, values, width, v * b, start, N) << width * (start + N) & keep:
+            live.append(digits | ((digits + touches) & high) >> (width - 1) << split)
+    # (half - 1 - k) per coverage digit leaves its top bit clear exactly where
+    # at most k live candidates cover the position
+    lift = unit << split
+    least = (half - 2) * lift
+
+    # A branch is (counts, live, reach): an exclude branch keeps its parent's
+    # counts, so its live candidates all still fit, and its reach (the counts
+    # plus every live candidate) is its parent's less the one it excludes; an
+    # include branch filters and sums afresh. So an exclude branch takes over
+    # its parent's list, which no other branch reads by then.
+    branches = [(0, live, None)]
+    nodes = 0
+    while branches:
+        if nodes == max_nodes:
+            return None, nodes
+        counts, live, reach = branches.pop()
+        nodes += 1
+        if counts == goal:
+            return True, nodes
+        if reach is None:
+            base = counts + over
+            live = [candidate for candidate in live if not (base + candidate) & high]
+            reach = counts + sum(live)
+        if (reach + floor) & high != high:
+            continue
+        short = (high & ~(counts + floor)) << split  # the positions below target
+        level = least
+        while not (fewest := short & ~(reach + level)):
+            level -= lift
+        position = (fewest & -fewest) >> (width - 1)
+        include = live.pop(next(k for k, candidate in enumerate(live) if candidate & position))
+        branches.append((counts, live, reach - include))
+        branches.append((counts + (include & keep), live, None))
+    return False, nodes
 
 
 def recenter(form: AugmentedForm, members: tuple[int, ...], c: int) -> tuple[int, ...]:

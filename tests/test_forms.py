@@ -27,6 +27,7 @@ from linform import (
     image_repfn,
     modular_repfn,
 )
+from linform.forms import MAX_IMAGE_SIZE
 
 from oracles import oracle_augmented_count, oracle_eval, oracle_image_counts, oracle_modular_counts
 
@@ -236,8 +237,9 @@ class TestImageOverflow:
 class TestImageScale:
     def test_six_intervals_beyond_the_cartesian_walk(self):
         # 40**6 = 4.1e9 tuples: out of reach tuple by tuple, about 24,000
-        # additions coordinate by coordinate. Checked against facts that need
-        # no second convolution.
+        # additions coordinate by coordinate, and no partial image holds more
+        # than 235 values however far the tuples pass MAX_IMAGE_SIZE. Checked
+        # against facts that need no second convolution.
         start = time.perf_counter()
         rep = image_repfn(LinearForm((1,) * 6), SetTuple((tuple(range(40)),) * 6))
         elapsed = time.perf_counter() - start
@@ -250,6 +252,19 @@ class TestImageScale:
             (-1) ** j * comb(6, j) * comb(117 - 40 * j + 5, 5) for j in range(3)
         )
         assert elapsed < 1.0
+
+    def test_image_above_limit_refused_before_convolving(self):
+        # 1,001 * 1,000 tuples, all of them distinct values: refused before the
+        # second coordinate, with one partial image of 1,001 values built
+        sets = SetTuple((tuple(range(1001)), tuple(range(1000))))
+        tracemalloc.start()
+        try:
+            with pytest.raises(LinformError, match=f"image of up to 1001000 values exceeds the limit {MAX_IMAGE_SIZE}"):
+                image_repfn(LinearForm((1, 1001)), sets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000
 
 
 class TestDiameterReport:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import tracemalloc
 
@@ -19,6 +20,7 @@ from linform import (
     LinformError,
     PeriodicSet,
     SetTuple,
+    SolveResult,
     SolveStatus,
     TargetFunction,
     Window,
@@ -34,7 +36,7 @@ from linform import (
 )
 
 from linform.cli import main
-from linform.solver import MAX_CANDIDATE_SPAN, MAX_PACKED_BITS, MAX_RADIUS
+from linform.solver import MAX_CANDIDATE_SPAN, MAX_PACKED_BITS, MAX_RADIUS, _decide
 
 from corpus import CORPUS
 from oracles import oracle_window_dfs, oracle_window_satisfiable
@@ -156,10 +158,11 @@ class TestSolveWindow:
         assert peak < 100_000
 
     def test_tree_is_pinned(self):
-        # the unsat proof of the largest search in the benchmark pool
+        # the unsat proof of the largest search in the benchmark pool: the
+        # canonical order alone took 144,336 nodes, the decider ends it
         result = solve_window(window_problem((1,), 1, ((0, 1, 2, 4, 16),), 20, TargetFunction.constant(1)))
         assert result.status is SolveStatus.UNSAT
-        assert result.nodes_explored == 144_336
+        assert result.nodes_explored == 7_763
 
     def test_long_window_stays_small(self):
         # one band of two digits per candidate: the list-based search, with a
@@ -297,6 +300,137 @@ class TestFloorPrune:
                 assert (result.status.value, result.witness) == (status, witness), instance
             smaller += result.nodes_explored < nodes
         assert smaller >= 300
+
+
+class TestDecide:
+    """The fail-first decider that the canonical search asks once it stalls."""
+
+    @staticmethod
+    def random_instance(rng):
+        h = rng.randint(1, 2)
+        u = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(h))
+        if h == 2 and rng.random() < 0.5:
+            u = (u[0], u[0])  # equal coefficients: values with multiplicity above 1
+        sets = tuple(tuple(rng.sample(range(-4, 5), rng.randint(1, 3))) for _ in range(h))
+        v, radius = rng.randint(1, 3), rng.randint(0, 8)
+        needs = (0, 1, 2, 3, math.prod(map(len, sets)) + 1)  # the last one above the mass
+        if rng.random() < 0.4:
+            return u, v, sets, radius, TargetFunction.constant(rng.choice(needs))
+        overrides = {rng.randint(-radius, radius): rng.choice(needs) for _ in range(rng.randint(1, 3))}
+        return u, v, sets, radius, TargetFunction(rng.choice((None, None, *needs)), overrides)
+
+    def test_matches_the_oracle(self):
+        rng = random.Random(19)
+        verdicts = {True: 0, False: 0}
+        for _ in range(600):
+            instance = u, v, sets, radius, target = self.random_instance(rng)
+            status, _, _ = oracle_window_dfs(u, v, sets, target.at, radius, 5_000)
+            if status == "resource_limit":
+                continue
+            solvable, _ = _decide(window_problem(u, v, sets, radius, target), 10**6)
+            assert solvable is (status == "solved"), instance
+            verdicts[solvable] += 1
+        assert min(verdicts.values()) >= 150
+
+    # the nine largest solve windows of the benchmark pool at N = 20, as the
+    # pool writes them; the canonical order refutes them in 1,538,152 nodes
+    # over both orientations
+    POOL = [
+        ((0, 1, 2, 4, 16), 1),
+        ((0, 5, 15), 1),
+        ((0, 9, 16), 2),
+        ((0, 2, 6, 12, 15), 2),
+        ((0, 5, 7, 15), 2),
+        ((0, 3, 6, 13, 15), 2),
+        ((0, 12, 16), 1),
+        ((0, 8, 15), 1),
+        ((0, 4, 13), 1),
+    ]
+
+    def test_pool_refutations_are_pinned(self):
+        nodes = 0
+        for elements, t in self.POOL:
+            for u in (1,), (-1,):
+                solvable, spent = _decide(window_problem(u, 1, (elements,), 20, TargetFunction.constant(t)), 10**6)
+                assert solvable is False, (u, elements)
+                nodes += spent
+        assert nodes == 7_252
+
+    def test_budget_runs_out(self):
+        problem = window_problem((1,), 1, ((0, 1, 2, 4, 16),), 20, ONE)
+        assert _decide(problem, 10) == (None, 10)
+        assert _decide(problem, 10**6) == (False, 467)
+
+    # stabilize -N 12 as recorded from the canonical search alone, before the
+    # decider: per orientation, the inconsistent index of each radius from 1,
+    # then the last status
+    ATTEMPTS = {
+        ((0, 2, 6, 12, 15), 2, 1): ([9, 8, 8, 14, 14, 9, 8, 14, 13, 12, 12], "unsat"),
+        ((0, 2, 6, 12, 15), 2, -1): ([12, 11, 10, 11, 27, 26, 25, 24, 25, 27, 27], "unsat"),
+        ((0, 1, 2, 4, 16), 1, 1): ([15, 14, 13, 12, 12, 10, 9, 9, 10, 14, 13, 13], None),
+        ((0, 1, 2, 4, 16), 1, -1): ([14, 13, 12, 11, 10, 9, 8, 34, 33, 32, 31, 30], None),
+    }
+
+    @pytest.mark.parametrize("elements,t,sign", list(ATTEMPTS))
+    def test_stabilize_attempts_are_unchanged(self, searches, elements, t, sign):
+        indices, end = self.ATTEMPTS[elements, t, sign]
+        expected = [
+            (N, "inconsistent", f"no consistent membership bit at index {k}") for N, k in enumerate(indices, 1)
+        ]
+        if end == "unsat":
+            expected.append((12, "unsat", "no finite witness; larger N cannot help"))
+        result = stabilize(AugmentedForm(LinearForm((sign,)), 1), SetTuple((elements,)), t, 12)
+        assert [(a.N, a.status, a.detail) for a in result.attempts] == expected
+        # every radius's witness is the first one of the search without floors
+        for N, status, witness, _ in searches:
+            assert oracle_window_dfs((sign,), 1, (elements,), lambda n: t, N, 10**6)[:2] == (status.value, witness)
+
+    @pytest.mark.parametrize(
+        "elements,t,N,answer,canonical",
+        [
+            # the decider finds a solution
+            ((0, 2, 6, 12, 15), 2, 8, (True, 42), 5_766),
+            # the decider runs out of the 5,248 nodes the search had spent
+            ((-1, 0, 1, 7, 15), 3, 12, (None, 5_248), 36_400),
+        ],
+    )
+    def test_witness_after_an_open_answer(self, monkeypatch, elements, t, N, answer, canonical):
+        # past the trigger the canonical search goes on from where it stopped
+        # to the same first witness, within the same budget as without the
+        # decider, whose nodes count in the result
+        answers = []
+
+        def recorded(problem, max_nodes):
+            answers.append(_decide(problem, max_nodes))
+            return answers[-1]
+
+        monkeypatch.setattr(linform.solver, "_decide", recorded)
+        problem = window_problem((1,), 1, (elements,), N, TargetFunction.constant(t))
+        result = solve_window(problem)
+        assert answers == [answer]
+        status, witness, _ = oracle_window_dfs((1,), 1, (elements,), lambda n: t, N, 10**6)
+        assert status == "solved"
+        assert result == SolveResult(SolveStatus.SOLVED, witness, canonical + answer[1])
+        assert solve_window(problem, canonical) == result
+        assert solve_window(problem, canonical - 1) == SolveResult(SolveStatus.RESOURCE_LIMIT, None, canonical)
+
+    def test_wide_sparse_image_is_not_packed_whole(self):
+        # u = (1, M), v = M: each of the 401 candidates lands the image values
+        # 0 and 1 in the window, out of an image of diameter 400M + 16; the
+        # decider builds its candidates from those alone
+        M = 10**9
+        sets = ((0, 1, 2, 4, 16), tuple(range(401)))
+        problem = window_problem((1, M), M, sets, 1, TargetFunction(None, {0: 1, 1: 2}))
+        tracemalloc.start()
+        try:
+            assert _decide(problem, 1) == (None, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 250_000
+        # the canonical search alone takes 161,200 nodes; past the trigger,
+        # after 128 * 401, the decider refutes it in 801
+        assert solve_window(problem) == SolveResult(SolveStatus.UNSAT, None, 128 * 401 + 801)
 
 
 class TestRecenter:
@@ -500,9 +634,12 @@ class TestResume:
         "elements,t,nodes",
         [
             # the two largest stabilize calls of the benchmark pool; every
-            # radius solved afresh took 150,864 and 193,908 nodes
-            ((0, 2, 6, 12, 15), 2, 89_292),
-            ((0, 1, 2, 4, 16), 1, 81_928),
+            # radius solved afresh took 150,864 and 193,908 nodes, and
+            # resuming 89,292 and 81,928 before the decider, which refutes
+            # the first at N = 12 and adds its nodes to three solvable radii
+            # of the second
+            ((0, 2, 6, 12, 15), 2, 50_575),
+            ((0, 1, 2, 4, 16), 1, 82_631),
         ],
     )
     def test_node_savings_are_pinned(self, searches, elements, t, nodes):
