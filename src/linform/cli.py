@@ -281,8 +281,9 @@ COMMANDS = {
 
 
 def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    if fmt == "json":  # streamed: json.dump writes each small chunk as it is made
+        json.dump(report, sys.stdout, indent=2)
+        sys.stdout.write("\n")
         return
     lines = []
     for key, value in report.items():

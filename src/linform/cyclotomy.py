@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .checked import checked_add, checked_mul, ensure_int64
-from .forms import LinearForm, SetTuple, check_modulus
+from .errors import LinformError
+from .forms import MAX_IMAGE_SIZE, LinearForm, SetTuple, check_modulus
 
 
 @dataclass(frozen=True)
@@ -43,11 +44,21 @@ class ConditionReport(NamedTuple):
 
 
 def product(factors: Sequence[LaurentPoly]) -> LaurentPoly:
-    """Exact product of one or more Laurent polynomials."""
+    """Exact product of one or more Laurent polynomials.
+
+    Before each factor is convolved, the next product is charged
+    min(terms so far times the factor's terms, its span + 1); a charge
+    above MAX_IMAGE_SIZE refuses, as image_repfn does for the same sets.
+    """
     if not factors:
         raise ValueError("product needs at least one factor")
     result = dict(factors[0].terms)
     for factor in factors[1:]:
+        size = len(result) * len(factor.terms)
+        if size:  # an empty factor or product has no extremes
+            size = min(size, max(result) + max(factor.terms) - min(result) - min(factor.terms) + 1)
+        if size > MAX_IMAGE_SIZE:
+            raise LinformError(f"product of up to {size} terms exceeds the limit {MAX_IMAGE_SIZE}")
         next_terms: dict[int, int] = {}
         for e1, c1 in result.items():
             for e2, c2 in factor.terms.items():

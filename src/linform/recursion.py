@@ -20,11 +20,13 @@ orbit revisits a state within 2^gap + 1 steps. That repeat distance bounds
 the period: any complement membership sequence is purely periodic with
 period at most 2^gap.
 
-Extension uses the same fact: once the gap bits a step reads repeat, every
-later bit repeats. It looks for the repeat with Brent's cycle finding and
-then copies the last lam bits over the rest of the range, so extending
-costs O(mu + lam) steps, mu before the cycle and lam around it, plus the
-output, and the same bits and error index as stepping every bit.
+Read in its own direction, each identity makes a bit from the bits offset
+before it, so one kernel steps both: a downward step gets the bits above n
+reversed, nearest first, and its output is reversed back. Once the gap
+bits a step reads repeat, every later bit repeats. The kernel looks for the
+repeat with Brent's cycle finding and copies the last lam bits over the
+rest, so it costs O(mu + lam) steps, mu before the cycle and lam around
+it, plus the output, and gives the bits and dead end of stepping every bit.
 
 Extension alone is not verification. The two identities only express that
 the count equals t along the residues g_min and g_max mod v; for v > 1 the
@@ -118,15 +120,6 @@ def build_context(form: AugmentedForm, sets: SetTuple, t: int) -> RecursionConte
     )
 
 
-def _as_bit(rhs: int, count: int, index: int) -> int:
-    # count * bit must equal rhs with bit in {0, 1}; anything else is a dead end
-    if rhs == 0:
-        return 0
-    if rhs == count:
-        return 1
-    raise InconsistentWindowError(index)
-
-
 def _check_seed(ctx: RecursionContext, seed: Window, max_gap: int | None = None) -> None:
     if ctx.gap == 0:
         raise DegenerateGapError("gap is zero: the window recursion has no steps")
@@ -136,77 +129,61 @@ def _check_seed(ctx: RecursionContext, seed: Window, max_gap: int | None = None)
         raise ValueError(f"seed holds {len(seed.bits)} bits, recursion needs {ctx.gap}")
 
 
-def _window(bits: list[int], at: int, size: int, forward: bool) -> bytes:
-    """The size bits from index at on, in stepping order."""
-    if forward:
-        return bytes(bits[at : at + size])
-    return bytes(bits[at - size + 1 : at + 1])[::-1]
+def _fill(ctx: RecursionContext, bits: list[int], start: int, forward: bool) -> int | None:
+    """Step bits[start:], zeros on entry, by one identity: bits[i] reads bits[i - offset].
 
-
-def _fill(ctx: RecursionContext, bits: list[int], base: int, lo: int, hi: int, forward: bool) -> None:
-    """Set bits[n - base] for lo <= n <= hi from one step identity.
-
-    The forward (g_min) identity reads bits below n and runs upward; the
-    backward (g_max) identity reads bits above n and runs downward. Either
-    way every bit read is already known, so errors fire at the first
-    index, in stepping order, where no bit fits.
+    The list is in stepping order: bits[i] is the bit of n0 + i forward
+    (g_min) and of n0 - i backward (g_max). Returns the first index where
+    no bit fits, or None when every step succeeded.
 
     A step reads only the gap bits before it, so once that state repeats,
     every later bit repeats the lam bits stepped since. Brent's cycle
     finding (BIT 20, 1980) keeps one past state, the tortoise, and compares
     the states after it with it, up to a distance that doubles each time
     the tortoise moves; each run of steps is compared at once, as bytes, by
-    one substring search. On the first repeat the rest of the range is
+    one substring search. On the first repeat the rest of the list is
     tiled. Both compared states preceded a step that succeeded, so no later
-    step could fail: the bits and any error index are those of stepping on.
+    step could fail: the bits and any failed index are those of stepping on.
     """
     if forward:
-        offsets, count, d = ctx.forward_offsets, ctx.image.count_min, 1
-        order = range(lo - base, hi - base + 1)
+        offsets, count = ctx.forward_offsets, ctx.image.count_min
     else:
-        offsets, count, d = ctx.backward_offsets, ctx.image.count_max, -1
-        order = range(hi - base, lo - base - 1, -1)
+        offsets, count = ctx.backward_offsets, ctx.image.count_max
     t, gap = ctx.t, ctx.gap
     # The tortoise is the state before bit p; lam of the states after it
     # have been compared with it, and the next look comes after bit look.
     # A look costs O(gap + run), so runs and distances start at gap or more.
-    p, power, lam = order.start, gap if gap > _LEAST_RUN else _LEAST_RUN, 0
-    look = p + d * (power - 1)
-    for i in order:
+    p, power, lam = start, gap if gap > _LEAST_RUN else _LEAST_RUN, 0
+    look = p + power - 1
+    for i in range(start, len(bits)):
         rhs = t
         for offset, mult in offsets:
-            rhs -= mult * bits[i - d * offset]
-        bits[i] = _as_bit(rhs, count, base + i)
+            rhs -= mult * bits[i - offset]
+        # count * bit must equal rhs with bit in {0, 1}; anything else is a dead end
+        if rhs == count:
+            bits[i] = 1
+        elif rhs:
+            return i
         if i == look:
-            run = d * (i - p) + 1 - lam
-            tortoise = _window(bits, p - d * gap, gap, forward)
-            found = _window(bits, p + d * (lam + 1 - gap), run + gap - 1, forward).find(tortoise)
+            found = bytes(bits[p + lam + 1 - gap : i + 1]).find(bytes(bits[p - gap : p]))
             if found >= 0:
                 lam += found + 1
-                break
-            lam += run
+                j = p + lam  # every bit from j on equals the bit lam before it
+                bits[j:] = (bits[p:j] * ((len(bits) - p) // lam))[: len(bits) - j]
+                return None
+            lam = i + 1 - p
             if lam == power:
-                p, power, lam = i + d, 2 * power, 0
-            look = i + d * min(power - lam, max(gap, _MOST_RUN))
-    else:
-        return
-    # Every bit from j on, in stepping order, equals the bit lam before it.
-    j = p + d * lam
-    rest = d * (order[-1] - j) + 1
-    if forward:
-        block = bits[j - lam : j]
-        bits[j : j + rest] = (block * (rest // lam + 1))[:rest]
-    else:
-        block = bits[j + 1 : j + 1 + lam]
-        skip = -rest % lam
-        bits[j - rest + 1 : j + 1] = (block * (rest // lam + 2))[skip : skip + rest]
+                p, power, lam = i + 1, 2 * power, 0
+            look = i + min(power - lam, max(gap, _MOST_RUN))
+    return None
 
 
 def extend(ctx: RecursionContext, seed: Window, lo: int, hi: int) -> Window:
     """Deterministically extend the seed to cover [lo, hi].
 
     [lo, hi] must contain the seed range and hold at most MAX_EXTEND_BITS
-    bits (LinformError otherwise). Raises InconsistentWindowError at the
+    bits (LinformError otherwise). Steps upward from the seed's end, then
+    downward from its start, and raises InconsistentWindowError at the
     first index where no bit satisfies the relevant identity.
     """
     _check_seed(ctx, seed)
@@ -214,26 +191,38 @@ def extend(ctx: RecursionContext, seed: Window, lo: int, hi: int) -> Window:
         raise ValueError("[lo, hi] must contain the seed range")
     if hi - lo + 1 > MAX_EXTEND_BITS:
         raise LinformError(f"[{lo}, {hi}] holds {hi - lo + 1} bits, above the limit of {MAX_EXTEND_BITS}")
-    bits = [0] * (seed.start - lo) + list(seed.bits) + [0] * (hi - seed.end)
-    _fill(ctx, bits, lo, seed.end + 1, hi, forward=True)
-    _fill(ctx, bits, lo, lo, seed.start - 1, forward=False)
-    return Window(lo, tuple(bits))
+    gap, below = ctx.gap, seed.start - lo
+    bits = [0] * (hi - seed.start + 1)  # each list allocated once: long extensions are bound by copying
+    bits[: len(seed.bits)] = seed.bits
+    failed = _fill(ctx, bits, len(seed.bits), forward=True)
+    if failed is not None:
+        raise InconsistentWindowError(seed.start + failed)
+    # downward: the seed's first gap bits, nearest first, then the bits below
+    back = [0] * (gap + below)
+    back[:gap] = bits[gap - 1 :: -1]
+    failed = _fill(ctx, back, gap, forward=False)
+    if failed is not None:
+        raise InconsistentWindowError(seed.start + gap - 1 - failed)
+    back.reverse()
+    back[below:] = bits
+    return Window(lo, tuple(back))
 
 
 def detect_period(ctx: RecursionContext, seed: Window, max_gap: int = DEFAULT_MAX_GAP) -> PeriodicSet:
     """Extend forward until a gap-bit state repeats, then confirm pure periodicity.
 
-    The repeat distance p satisfies p <= 2^gap by pigeonhole. The window is
+    The repeat distance p satisfies p <= 2^gap by pigeonhole. The first
+    repeat is taken among all states, the seed's own included. The window is
     then extended p positions backward and every computed index n must agree
     with its translate n + p; a disagreement means the orbit is only
     eventually periodic, which no t-complementing set allows, so it raises
-    InconsistentWindowError at the offending index. The returned set is
+    InconsistentWindowError at the lowest offending index. A step that fails
+    raises at its index, once the scan needs its bit. The returned set is
     normalized: its modulus is the minimal period, which divides p.
     """
     _check_seed(ctx, seed, max_gap)
     gap = ctx.gap
-    base = seed.start
-    bits = list(seed.bits)
+    bits = list(seed.bits)  # bits[i] is the bit of seed.start + i
 
     # Encode the state at j, the bits of [j, j + gap), as an integer with
     # bit i of the integer holding the membership bit of j + i. Bits are
@@ -241,25 +230,19 @@ def detect_period(ctx: RecursionContext, seed: Window, max_gap: int = DEFAULT_MA
     # a time: a step that failed raises only once the scan needs its bit,
     # and the bits past the repeat are dropped, since the repeated state may
     # precede a seed bit that they need not follow.
-    state = 0
-    for i in range(gap):
-        state |= bits[i] << i
+    state = sum(bit << i for i, bit in enumerate(bits[:gap]))
     seen = {state: 0}
-    j = 0  # the state's start, relative to base
-    # A step that failed ahead of the scan, kept without its traceback and
-    # popped to be raised, so that no reference cycle holds this frame.
-    failed: list[InconsistentWindowError] = []
+    j = 0
+    failed = None  # the index of a step that failed ahead of the scan
     while True:
         needed = j + gap  # rolling to the state at j + 1 consumes this bit
         if needed == len(bits):
-            if failed:
-                raise failed.pop()
+            if failed is not None:
+                raise InconsistentWindowError(seed.start + failed)
             bits.extend([0] * needed)
-            try:
-                _fill(ctx, bits, base, base + needed, base + len(bits) - 1, forward=True)
-            except InconsistentWindowError as exc:
-                failed.append(exc.with_traceback(None))
-                del bits[exc.index - base :]
+            failed = _fill(ctx, bits, needed, forward=True)
+            if failed is not None:
+                del bits[failed:]
             continue
         state = (state >> 1) | (bits[needed] << (gap - 1))
         j += 1
@@ -269,9 +252,12 @@ def detect_period(ctx: RecursionContext, seed: Window, max_gap: int = DEFAULT_MA
     period_len = j - seen[state]
     del bits[max(j + gap, len(seed.bits)) :]
 
-    base -= period_len
-    bits[:0] = [0] * period_len
-    _fill(ctx, bits, base, base, base + period_len - 1, forward=False)
+    back = bits[gap - 1 :: -1] + [0] * period_len
+    failed = _fill(ctx, back, gap, forward=False)
+    if failed is not None:
+        raise InconsistentWindowError(seed.start + gap - 1 - failed)
+    bits[:0] = back[: gap - 1 : -1]
+    base = seed.start - period_len
     for i, (bit, translate) in enumerate(zip(bits, bits[period_len:])):
         if bit != translate:
             n = base + i

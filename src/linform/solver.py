@@ -301,8 +301,6 @@ def _search(problem: WindowProblem, max_nodes: int, resume: bytes = b"") -> tupl
     cap, half = mass + 1, 1 << (width - 1)
     high = int(format(half, f"0{width}b") * widest, 2)
 
-    targets = set(required)
-
     def window_table(digit) -> bytes:
         return _window_digits(required, width, digit).to_bytes((width * (2 * N + 1) + 7) // 8, "little")
 
@@ -310,11 +308,10 @@ def _search(problem: WindowProblem, max_nodes: int, resume: bytes = b"") -> tupl
     final_table = window_table(lambda need: (1 << width) - 1)
 
     def cut(table: bytes, lo: int, hi: int) -> int:
-        # the digits of positions lo..hi, position lo in the lowest bits; with
-        # one target throughout, every stretch of a table reads as its start
+        # the digits of positions lo..hi, position lo in the lowest bits
         if hi < lo:
             return 0
-        start = 0 if len(targets) == 1 else width * (lo + N)
+        start = width * (lo + N)
         stop = start + width * (hi - lo + 1)
         stretch = int.from_bytes(table[start >> 3 : (stop + 7) >> 3], "little")
         return (stretch >> (start & 7)) & ((1 << (stop - start)) - 1)

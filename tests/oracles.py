@@ -126,6 +126,24 @@ def oracle_member_sequence(modulus: int, residues: Iterable[int], lo: int, hi: i
     return [1 if n % modulus in rset else 0 for n in range(lo, hi + 1)]
 
 
+def oracle_step(image: dict[int, int], v: int, t: int, known: dict[int, int], n: int, up: bool) -> int | None:
+    """The bit that the count at v*n + g_min (up) or v*n + g_max (down) forces at n, or None.
+
+    The count there can only gain from members in [n - gap, n] (up) or
+    [n, n + gap] (down), and known must hold every bit of that range but n.
+    """
+    g_min, g_max = min(image), max(image)
+    gap = (g_max - g_min) // v
+    anchor, near = (g_min, range(n - gap, n)) if up else (g_max, range(n + 1, n + gap + 1))
+    x = v * n + anchor
+    rest = sum(image.get(x - v * b, 0) for b in near if known[b])
+    if rest == t:
+        return 0
+    if rest + image[anchor] == t:
+        return 1
+    return None
+
+
 def oracle_extend(
     u: Sequence[int],
     v: int,
@@ -138,29 +156,61 @@ def oracle_extend(
 ) -> tuple[str, tuple[int, ...] | int]:
     """Forced extension of a seed window, one bit at a time, for v >= 1.
 
-    The augmented count at v*n + g_min can only gain from members in
-    [n - gap, n], so once the bits below n are known it fixes bit(n);
-    v*n + g_max fixes it from the bits above. Steps upward to hi, then
-    downward to lo, and returns ("bits", bits of [lo, hi]) or
-    ("inconsistent", n) at the first n where no bit fits.
+    Steps upward to hi, then downward to lo, and returns ("bits", bits of
+    [lo, hi]) or ("inconsistent", n) at the first n where no bit fits.
     """
     image = oracle_image_counts(u, sets)
-    g_min, g_max = min(image), max(image)
-    gap = (g_max - g_min) // v
     known = {start + i: bit for i, bit in enumerate(bits)}
     end = start + len(bits) - 1
-    steps = [(n, g_min, range(n - gap, n)) for n in range(end + 1, hi + 1)]
-    steps += [(n, g_max, range(n + 1, n + gap + 1)) for n in range(start - 1, lo - 1, -1)]
-    for n, anchor, near in steps:
-        x = v * n + anchor
-        rest = sum(image.get(x - v * b, 0) for b in near if known[b])
-        if rest == t:
-            known[n] = 0
-        elif rest + image[anchor] == t:
-            known[n] = 1
-        else:
+    steps = [(n, True) for n in range(end + 1, hi + 1)] + [(n, False) for n in range(start - 1, lo - 1, -1)]
+    for n, up in steps:
+        known[n] = oracle_step(image, v, t, known, n, up)
+        if known[n] is None:
             return "inconsistent", n
     return "bits", tuple(known[n] for n in range(lo, hi + 1))
+
+
+def oracle_detect_period(
+    u: Sequence[int],
+    v: int,
+    sets: Sequence[Sequence[int]],
+    t: int,
+    start: int,
+    bits: Sequence[int],
+) -> tuple[str, tuple[int, tuple[int, ...]] | int]:
+    """Period of the sequence a seed of at least gap bits forces, one bit at a time, for v >= 1.
+
+    Scans the gap-bit states from the seed's first on, stepping a bit up
+    only when the next state needs it, until a state repeats, p states
+    apart. Then steps p bits down from the seed and compares every known
+    bit with its translate by p. Returns ("period", (modulus, residues))
+    folded to the minimal period, or ("inconsistent", n) at a step where no
+    bit fits or at the lowest n whose bit differs from that of n + p.
+    """
+    image = oracle_image_counts(u, sets)
+    gap = (max(image) - min(image)) // v
+    known = {start + i: bit for i, bit in enumerate(bits)}
+    seen: dict[tuple[int, ...], int] = {}
+    j = start
+    while True:
+        if j + gap - 1 not in known:
+            known[j + gap - 1] = oracle_step(image, v, t, known, j + gap - 1, True)
+            if known[j + gap - 1] is None:
+                return "inconsistent", j + gap - 1
+        state = tuple(known[n] for n in range(j, j + gap))
+        if state in seen:
+            break
+        seen[state] = j
+        j += 1
+    p = j - seen[state]
+    for n in range(start - 1, start - p - 1, -1):
+        known[n] = oracle_step(image, v, t, known, n, False)
+        if known[n] is None:
+            return "inconsistent", n
+    for n in range(start - p, max(known) - p + 1):
+        if known[n] != known[n + p]:
+            return "inconsistent", n
+    return "period", oracle_minimal_period(p, {n % p for n in range(start, start + p) if known[n]})
 
 
 def oracle_window_dfs(

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linform import cli, forms
+from linform import LinearForm, SetTuple, cli, forms
 from linform.cli import main
 
 HERE = Path(__file__).parent
@@ -132,6 +133,7 @@ class TestExitCodes:
             ),
             ({"u": [1], "A": [[0, 1]]}, ["modrep", "-m", str(10**11)]),
             ({"u": [1], "A": [[0, 1]]}, ["cyclotomy", "-m", str(10**11), "-t", "1"]),
+            ({"u": [1, 1001], "A": [list(range(1001))] * 2}, ["cyclotomy", "-m", "2", "-t", "1"]),
         ],
     )
     def test_budget_refusals_exit_2(self, capsys, tmp_path, document, argv):
@@ -477,6 +479,28 @@ class TestReports:
         _, out, err = run(capsys, "check", "--input", data("pair.json"))
         assert json.loads(out)["verdict"] is True
         assert "t-complementing" in err
+
+    def test_json_report_is_streamed(self, monkeypatch):
+        # 70,041 characters of report, written without holding them all
+        m = 10_000
+        report = {"m": m, "coefficients": forms.modular_repfn(LinearForm((1,)), SetTuple(((0, 1),)), m)}
+
+        class Sink:
+            chars = 0
+
+            def write(self, text):
+                Sink.chars += len(text)
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        tracemalloc.start()
+        try:
+            cli._emit(report, "json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert Sink.chars == len(json.dumps(report, indent=2)) + 1 == 70_041
+        assert peak < 50_000
 
 
 class TestEntryPoints:

@@ -18,9 +18,11 @@ from linform import (
     LinformError,
     SetTuple,
     check_condition,
+    cyclotomy,
     modular_repfn,
     product,
 )
+from linform.forms import MAX_IMAGE_SIZE
 
 from oracles import oracle_cyclic_product
 from test_forms import form_and_sets
@@ -89,6 +91,29 @@ class TestProduct:
         # (1 - z)(1 + z) = 1 - z^2; the z coefficient cancels exactly.
         got = product([LaurentPoly({0: 1, 1: -1}), LaurentPoly({0: 1, 1: 1})])
         assert got.terms == {0: 1, 2: -1}
+
+    def test_product_budget_refused_before_convolving(self):
+        # 1001 * 1001 terms over a span of 1001 * 1001 values: the second
+        # factor is refused before a term of it is multiplied
+        factors = [LaurentPoly(dict.fromkeys(range(0, u * 1001, u), 1)) for u in (1, 1001)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(LinformError, match=f"up to 1002001 terms exceeds the limit {MAX_IMAGE_SIZE}"):
+                product(factors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_product_budget_is_the_smaller_bound(self, monkeypatch):
+        monkeypatch.setattr(cyclotomy, "MAX_IMAGE_SIZE", 5)
+        # 3 * 3 products over a span of 5 values
+        assert len(product([LaurentPoly({0: 1, 1: 1, 2: 1})] * 2).terms) == 5
+        with pytest.raises(LinformError, match="up to 6 terms"):
+            product([LaurentPoly({0: 1, 1: 1, 2: 1}), LaurentPoly({0: 1, 3: 1})])
+
+    def test_empty_factor_gives_the_empty_product(self):
+        assert product([LaurentPoly({0: 1}), LaurentPoly({}), LaurentPoly({5: 1})]).terms == {}
 
     @given(form_and_sets())
     def test_expansion_matches_image_counts(self, pair):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 
 import pytest
@@ -277,3 +278,28 @@ class TestAgainstPlainScan:
         assert cert.verdict is (expected is None)
         assert cert.period_checked == period
         assert cert.first_violation == expected
+
+
+class TestTheorems:
+    """Facts proved about tilings: a route that shares no code with the kernels or the oracles."""
+
+    def test_dilation_and_translation_keep_the_complement(self, corpus):
+        # Tijdeman, "Decomposition of the integers as a direct sum of two
+        # subsets" (1995): if A + B = Z directly and gcd(k, |A|) = 1, then
+        # kA + B = Z directly; and every translate A + c keeps B as well.
+        kept = refuted = 0
+        for pair in corpus:
+            if (len(pair.u), pair.v, pair.t) != (1, 1, 1):
+                continue
+            (elements,) = pair.sets
+            form, complement = pair.form(), pair.periodic()
+            for k in (2, 3, 5, 7, -1, -3):
+                for c in (0, 5, -4):
+                    image = image_repfn(form.base, SetTuple((tuple(k * a + c for a in elements),)))
+                    verdict = check_t_complementing(form, image, complement, 1).verdict
+                    if math.gcd(k, len(elements)) == 1:
+                        assert verdict, (pair.name, k, c)
+                        kept += 1
+                    else:
+                        refuted += not verdict
+        assert kept == 144 and refuted > 0

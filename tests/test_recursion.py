@@ -27,7 +27,7 @@ from linform import (
 )
 
 from corpus import CORPUS
-from oracles import oracle_extend, oracle_member_sequence
+from oracles import oracle_detect_period, oracle_extend, oracle_member_sequence
 
 
 def ctx_for(u, v, sets, t=1):
@@ -286,6 +286,70 @@ class TestExtendAgainstOracle:
         seed = Window(0, tuple(oracle_member_sequence(8, (0, 2), 0, ctx.gap - 1)))
         got = extend(ctx, seed, -(10**6), 10**6)
         assert list(got.bits) == oracle_member_sequence(8, (0, 2), -(10**6), 10**6)
+
+
+def period_outcome(u, v, sets, t, start, bits):
+    """detect_period's answer in oracle_detect_period's shape."""
+    try:
+        pset = detect_period(ctx_for(u, v, sets, t), Window(start, bits))
+    except InconsistentWindowError as exc:
+        return "inconsistent", exc.index
+    return "period", (pset.modulus, pset.residues)
+
+
+class TestDetectPeriodAgainstOracle:
+    """detect_period, which steps in batches, against scanning one bit at a time."""
+
+    def test_seeded_random_instances(self):
+        rng = random.Random(27)
+        seen = {"inconsistent": 0, "period": 0, "impure": 0, "long seed": 0}
+        for _ in range(2000):
+            h = rng.randint(1, 2)
+            u = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(h))
+            v = rng.randint(1, 3)
+            sets = tuple(tuple(sorted(rng.sample(range(-5, 6), rng.randint(1, 4)))) for _ in range(h))
+            t = rng.randint(0, 3)
+            gap = ctx_for(u, v, sets, t).gap
+            if not 1 <= gap <= 8:
+                continue
+            length = gap + rng.choice((0, 0, 1, 3, 8))
+            if rng.random() < 0.5:
+                # a stretch of a forced sequence, so that many seeds have a period
+                first = tuple(rng.randint(0, 1) for _ in range(gap))
+                forced = oracle_extend(u, v, sets, t, 0, first, 0, gap + 48)
+                if forced[0] == "bits":
+                    cut = rng.randint(0, 40)
+                    bits = forced[1][cut : cut + length]
+                    if rng.random() < 0.3:  # one seed bit off the forced sequence
+                        flip = rng.randrange(length)
+                        bits = bits[:flip] + (1 - bits[flip],) + bits[flip + 1 :]
+                else:
+                    bits = tuple(rng.randint(0, 1) for _ in range(length))
+            else:
+                bits = tuple(rng.randint(0, 1) for _ in range(length))
+            start = rng.randint(-10, 10)
+            expected = oracle_detect_period(u, v, sets, t, start, bits)
+            assert period_outcome(u, v, sets, t, start, bits) == expected, (u, v, sets, t, start, bits)
+            seen[expected[0]] += 1
+            seen["impure"] += expected[0] == "inconsistent" and expected[1] < start
+            seen["long seed"] += length > gap
+        assert seen["period"] >= 120 and seen["inconsistent"] >= 300
+        assert seen["impure"] >= 100 and seen["long seed"] >= 400
+
+    @pytest.mark.parametrize(
+        "args,expected",
+        [
+            # the dead end at 7 lies past the repeat; the purity check fails at -1
+            (((1,), 1, ((0, 1, 3),), 2, 0, (1, 0, 0, 1, 0, 1)), ("inconsistent", -1)),
+            # the bit stepped past the repeat differs from its translate, unchecked
+            (((1,), 2, ((1, 2, 4),), 1, 0, (1, 0)), ("period", (2, (0,)))),
+            (((1,), 1, ((0, 1, 2),), 1, 5, (1, 1)), ("inconsistent", 7)),
+            (((1,), 1, ((0, 2),), 1, 0, (1, 1)), ("period", (4, (0, 1)))),
+        ],
+    )
+    def test_pinned_seeds(self, args, expected):
+        assert oracle_detect_period(*args) == expected
+        assert period_outcome(*args) == expected
 
 
 class TestDetectPeriod:

@@ -269,7 +269,15 @@ class TestSolveWindow:
 
 
 class TestFloorPrune:
-    """Floors against the same search without them: one answer, never a larger tree."""
+    """Floors against the same search without them: one answer, never a larger canonical tree.
+
+    The node bound is a claim about the canonical tree. Once a window
+    search asks the decider, a solvable window also counts the decider's
+    nodes, so it can exceed the bound: A = {0, 1, 2, 4, 16}, t = 1, N = 9
+    takes 20,107 nodes against the floor-less search's 19,949. Of the 2,000
+    instances below, 39 reach the decider, which finds 4 of them solvable;
+    the bound still holds for all of them.
+    """
 
     BUDGET = 20_000
 
